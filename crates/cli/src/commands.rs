@@ -40,10 +40,29 @@ pub(crate) fn load_trace(path: &str) -> Result<Trace, CliError> {
     }
 }
 
-/// Serializes a trace in the requested format (`text` default, `bin`
-/// for the fixed-width binary format).
-fn encode_trace(trace: &Trace, format: Option<&str>) -> Result<Vec<u8>, CliError> {
-    match format.unwrap_or("text") {
+/// The format an output path's extension names: `.wctb` is binary,
+/// `.wct` is text, anything else names none.
+fn format_of_extension(out: &str) -> Option<&'static str> {
+    match std::path::Path::new(out).extension()?.to_str()? {
+        "wctb" => Some("bin"),
+        "wct" => Some("text"),
+        _ => None,
+    }
+}
+
+/// Serializes a trace for `out` in the format `--format` asks for, else
+/// the one `out`'s extension names, else text. A `--format` that
+/// contradicts the extension is a usage error.
+fn encode_trace(trace: &Trace, format: Option<&str>, out: &str) -> Result<Vec<u8>, CliError> {
+    let implied = format_of_extension(out);
+    if let (Some(asked), Some(implied)) = (format, implied) {
+        if asked != implied {
+            return Err(usage(format!(
+                "--format {asked} contradicts the extension of `{out}` ({implied})"
+            )));
+        }
+    }
+    match format.or(implied).unwrap_or("text") {
         "text" => {
             let mut buf = Vec::new();
             trace_format::write_trace(&mut buf, trace)?;
@@ -84,7 +103,7 @@ pub fn generate(args: &Args) -> Result<String, CliError> {
     let out = args.require("out")?;
 
     let trace = profile.scaled(1.0 / denom).build_trace(seed);
-    let buf = encode_trace(&trace, args.get("format"))?;
+    let buf = encode_trace(&trace, args.get("format"), out)?;
     fs::write(out, buf)?;
     Ok(format!(
         "wrote {} requests ({} distinct documents, {}) to {out}\n",
@@ -518,7 +537,7 @@ pub fn convert(args: &Args) -> Result<String, CliError> {
     match (args.get("trace"), args.get("squid")) {
         (None, Some(input)) => {
             let (trace, stats) = load_squid(input)?;
-            let buf = encode_trace(&trace, args.get("format"))?;
+            let buf = encode_trace(&trace, args.get("format"), out)?;
             fs::write(out, buf)?;
             Ok(format!(
                 "converted {} log entries -> {} cacheable requests ({} dynamic, {} status, \
@@ -534,7 +553,7 @@ pub fn convert(args: &Args) -> Result<String, CliError> {
         (Some(input), None) => {
             // Re-encode an existing trace (e.g. text -> bin).
             let trace = load_trace(input)?;
-            let buf = encode_trace(&trace, args.get("format"))?;
+            let buf = encode_trace(&trace, args.get("format"), out)?;
             fs::write(out, buf)?;
             Ok(format!(
                 "converted {} requests ({} distinct documents, {}) -> {out}\n",

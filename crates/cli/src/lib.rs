@@ -78,7 +78,8 @@ webcache — trace-driven web cache replacement evaluation
 subcommands:
   generate     --profile dfn|rtp [--scale DENOM] [--seed N] --out FILE
                [--format text|bin]
-               synthesize a workload trace
+               synthesize a workload trace (an --out ending in .wctb
+               defaults to bin, .wct to text)
   characterize (--trace FILE | --squid FILE) [--name NAME]
                print the Section-2 tables (properties, per-type mix,
                size statistics, alpha, beta)
@@ -106,7 +107,9 @@ subcommands:
   convert      (--squid FILE | --trace FILE) --out FILE
                [--format text|bin]
                preprocess a Squid access.log into the compact format,
-               or re-encode an existing trace (e.g. text -> bin)
+               or re-encode an existing trace (e.g. text -> bin); the
+               format defaults to what the --out extension names
+               (.wctb bin, .wct text) and must not contradict it
   profile      [--trace FILE | --squid FILE] [--policies a,b,c]
                [--policy SPEC ...]
                [--capacity SIZE|PCT%] [--scale DENOM] [--seed N]

@@ -7,7 +7,8 @@
 //! * `GET /metrics` — Prometheus text exposition of the live registry
 //!   (simulator counters, anomaly totals, regret gauges, serve-loop
 //!   gauges);
-//! * `GET /healthz` — liveness plus replay progress as JSON;
+//! * `GET /healthz` — liveness, the replay's lifecycle `state`
+//!   (`starting` / `replaying` / `done`) and its progress as JSON;
 //! * `GET /snapshot` — the full registry snapshot as JSON;
 //! * `GET /debug/flight` — the flight recorder's retained decision
 //!   records (merged across shards, ordered by request index) as JSON;
@@ -479,9 +480,10 @@ fn route_snapshot(ctx: &RouteContext<'_>, _req: &HttpRequest) -> HttpResponse {
 
 fn route_healthz(ctx: &RouteContext<'_>, _req: &HttpRequest) -> HttpResponse {
     HttpResponse::json(format!(
-        "{{\"status\": \"ok\", \"replaying\": {}, \"passes\": {}, \
+        "{{\"status\": \"ok\", \"state\": \"{}\", \"replaying\": {}, \"passes\": {}, \
          \"requests_replayed\": {}, \"last_pass_req_per_sec\": {:.1}, \
          \"uptime_ms\": {}, \"policy\": \"{}\"}}",
+        ctx.status.state().label(),
         ctx.status.replaying(),
         ctx.status.passes(),
         ctx.status.requests(),

@@ -243,6 +243,72 @@ fn convert_roundtrip_text_binary_dense() {
 }
 
 #[test]
+fn convert_infers_wctb_from_the_extension_and_refuses_contradictions() {
+    let text_path = generate_trace("infer.wct");
+    let bin_path = temp_path("infer.wctb");
+    run(&argv(&format!(
+        "convert --trace {} --out {}",
+        text_path.display(),
+        bin_path.display()
+    )))
+    .unwrap();
+    let bin_bytes = fs::read(&bin_path).unwrap();
+    assert_eq!(&bin_bytes[..4], b"WCTB", "no --format: .wctb writes binary");
+
+    let err = run(&argv(&format!(
+        "convert --trace {} --out {} --format text",
+        text_path.display(),
+        bin_path.display()
+    )))
+    .unwrap_err()
+    .to_string();
+    assert!(err.contains("contradicts"), "{err}");
+    let err = run(&argv(&format!(
+        "convert --trace {} --out {} --format bin",
+        bin_path.display(),
+        text_path.display()
+    )))
+    .unwrap_err()
+    .to_string();
+    assert!(err.contains("contradicts"), "{err}");
+
+    fs::remove_file(text_path).ok();
+    fs::remove_file(bin_path).ok();
+}
+
+#[test]
+fn forged_wctb_record_count_is_an_error_not_an_abort() {
+    // A 336-byte file whose header claims 2^40 records: sizing buffers
+    // from the header would abort on a 35 TB allocation.
+    let path = temp_path("forged.wctb");
+    let trace: webcache_trace::Trace = (0..14u64)
+        .map(|i| {
+            webcache_trace::Request::new(
+                webcache_trace::Timestamp::from_millis(i),
+                webcache_trace::DocId::new(i),
+                webcache_trace::DocumentType::Html,
+                webcache_trace::ByteSize::new(100),
+            )
+        })
+        .collect();
+    let mut bytes = webcache_trace::format_bin::to_bytes(&trace);
+    bytes[8..16].copy_from_slice(&(1u64 << 40).to_le_bytes());
+    bytes.truncate(336);
+    fs::write(&path, &bytes).unwrap();
+
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_webcache"))
+        .args(["simulate", "--trace"])
+        .arg(&path)
+        .args(["--policy", "lru"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("truncated record 12 of"), "{stderr}");
+    fs::remove_file(path).ok();
+}
+
+#[test]
 fn stats_emits_windowed_json_and_csv() {
     let path = generate_trace("stats.wct");
     // Default: both JSON and CSV, window = a tenth of the measured region.

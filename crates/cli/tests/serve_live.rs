@@ -64,7 +64,7 @@ fn await_replay_done(addr: SocketAddr, deadline: Duration) -> String {
     loop {
         let (status, body) = http_get(addr, "/healthz");
         assert_eq!(status, 200, "{body}");
-        if body.contains("\"replaying\": false") {
+        if body.contains("\"state\": \"done\"") {
             return body;
         }
         assert!(

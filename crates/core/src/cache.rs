@@ -265,8 +265,14 @@ impl Cache {
     /// recorder: one push per Inserted or RejectedByAdmission outcome,
     /// in event order (TooLarge pushes nothing — it emits no observer
     /// event either, keeping the FIFO pairing exact).
+    ///
+    /// Admit-all verdicts carry no reason, so a cache that admits
+    /// everything pushes nothing: popping the empty channel yields the
+    /// same none-kind reason a push would have carried.
     pub fn set_admit_reasons(&mut self, reasons: webcache_obs::ReasonChannel) {
-        self.admit_reasons = Some(reasons);
+        if self.admission.rule() != AdmissionRule::All {
+            self.admit_reasons = Some(reasons);
+        }
     }
 
     /// The slot-valued handle policies and admission are addressed with.

@@ -43,7 +43,8 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::json::{self, Value};
 use crate::sink::MetricsSink;
@@ -482,7 +483,10 @@ impl FlightRecorder {
             self.records.push(record);
         } else {
             self.records[self.head] = record;
-            self.head = (self.head + 1) % self.capacity;
+            self.head += 1;
+            if self.head == self.capacity {
+                self.head = 0;
+            }
         }
         self.total += 1;
     }
@@ -569,9 +573,16 @@ impl SharedRecorder {
         SharedRecorder(Arc::new(Mutex::new(FlightRecorder::new(capacity))))
     }
 
-    /// Appends a record.
-    pub fn record(&self, record: DecisionRecord) {
-        self.0.lock().expect("flight recorder lock").record(record);
+    /// Appends `records`, then `last`, in order under a single lock
+    /// acquisition.
+    pub fn record_all(&self, records: &[DecisionRecord], last: Option<DecisionRecord>) {
+        let mut ring = self.0.lock().expect("flight recorder lock");
+        for &record in records {
+            ring.record(record);
+        }
+        if let Some(record) = last {
+            ring.record(record);
+        }
     }
 
     /// Copies the retained records, oldest → newest.
@@ -626,7 +637,23 @@ pub fn merge_sorted(recorders: &[SharedRecorder]) -> Vec<DecisionRecord> {
 /// because the cache emits reasons in the same order the simulator
 /// delivers the corresponding observer events.
 #[derive(Debug, Clone, Default)]
-pub struct ReasonChannel(Arc<Mutex<VecDeque<Reason>>>);
+pub struct ReasonChannel(Arc<ReasonQueue>);
+
+#[derive(Debug, Default)]
+struct ReasonQueue {
+    reasons: Mutex<VecDeque<Reason>>,
+    /// Queue length, stored (release) under the lock after every change,
+    /// so a consumer can skip locking an empty queue: a push that
+    /// happens before the acquire load is always seen. In the replay
+    /// the same thread pushes and pops.
+    queued: AtomicUsize,
+}
+
+impl ReasonQueue {
+    fn lock(&self) -> MutexGuard<'_, VecDeque<Reason>> {
+        self.reasons.lock().expect("reason channel lock")
+    }
+}
 
 impl ReasonChannel {
     /// An empty channel.
@@ -636,25 +663,47 @@ impl ReasonChannel {
 
     /// Enqueues a reason.
     pub fn push(&self, reason: Reason) {
-        self.0
-            .lock()
-            .expect("reason channel lock")
-            .push_back(reason);
+        let mut queue = self.0.lock();
+        queue.push_back(reason);
+        self.0.queued.store(queue.len(), Ordering::Release);
     }
 
     /// Dequeues the oldest reason, if any.
     pub fn pop(&self) -> Option<Reason> {
-        self.0.lock().expect("reason channel lock").pop_front()
+        let mut queue = self.0.lock();
+        let reason = queue.pop_front();
+        self.0.queued.store(queue.len(), Ordering::Release);
+        reason
+    }
+
+    /// Fills each slot with the next reason, oldest first, under a
+    /// single lock acquisition, or none when the queue is known to be
+    /// empty; slots past the end of the queue get the none-kind reason.
+    /// Equivalent to one [`pop`](Self::pop) per slot.
+    pub fn pop_into<'a>(&self, slots: impl IntoIterator<Item = &'a mut Reason>) {
+        if self.0.queued.load(Ordering::Acquire) == 0 {
+            for slot in slots {
+                *slot = Reason::none();
+            }
+            return;
+        }
+        let mut queue = self.0.lock();
+        for slot in slots {
+            *slot = queue.pop_front().unwrap_or_default();
+        }
+        self.0.queued.store(queue.len(), Ordering::Release);
     }
 
     /// Drops any queued reasons.
     pub fn clear(&self) {
-        self.0.lock().expect("reason channel lock").clear();
+        let mut queue = self.0.lock();
+        queue.clear();
+        self.0.queued.store(0, Ordering::Release);
     }
 
     /// Queued reason count.
     pub fn len(&self) -> usize {
-        self.0.lock().expect("reason channel lock").len()
+        self.0.lock().len()
     }
 
     /// Whether the channel is empty.
@@ -777,6 +826,24 @@ mod tests {
     }
 
     #[test]
+    fn pop_into_equals_one_pop_per_slot() {
+        let ch = ReasonChannel::new();
+        let mut slots = [Reason::frequency(9.0); 3];
+        ch.pop_into(slots.iter_mut());
+        assert!(slots.iter().all(|r| !r.is_some()), "empty channel: none");
+        ch.push(Reason::frequency(1.0));
+        ch.push(Reason::frequency(2.0));
+        ch.pop_into(slots.iter_mut());
+        assert_eq!(slots.map(|r| r.a), [1.0, 2.0, 0.0]);
+        assert!(!slots[2].is_some(), "past the end: none");
+        assert!(ch.is_empty());
+        ch.push(Reason::frequency(3.0));
+        ch.clear();
+        ch.pop_into(slots.iter_mut().take(1));
+        assert!(!slots[0].is_some(), "cleared channel: none");
+    }
+
+    #[test]
     fn reason_channel_is_fifo() {
         let ch = ReasonChannel::new();
         ch.push(Reason::frequency(1.0));
@@ -801,9 +868,10 @@ mod tests {
     fn shared_recorder_is_cloneable_and_consistent() {
         let shared = SharedRecorder::new(3);
         let writer = shared.clone();
-        for i in 0..5 {
-            writer.record(rec(i, EventKind::Evict, Reason::size(10.0)));
-        }
+        let records: Vec<_> = (0..5)
+            .map(|i| rec(i, EventKind::Evict, Reason::size(10.0)))
+            .collect();
+        writer.record_all(&records, None);
         assert_eq!(shared.total(), 5);
         assert_eq!(
             shared

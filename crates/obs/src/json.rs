@@ -104,6 +104,7 @@ impl std::error::Error for JsonError {}
 /// input.
 pub fn parse(input: &str) -> Result<Value, JsonError> {
     let mut p = Parser {
+        input,
         bytes: input.as_bytes(),
         pos: 0,
     };
@@ -117,6 +118,8 @@ pub fn parse(input: &str) -> Result<Value, JsonError> {
 }
 
 struct Parser<'a> {
+    input: &'a str,
+    /// `input` as bytes, for the ASCII-structured grammar.
     bytes: &'a [u8],
     pos: usize,
 }
@@ -261,11 +264,14 @@ impl Parser<'_> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 scalar (input is a &str, so byte
-                    // boundaries are trustworthy).
-                    let rest = &self.bytes[self.pos..];
-                    let s = unsafe { std::str::from_utf8_unchecked(rest) };
-                    let c = s.chars().next().expect("non-empty");
+                    // Consume one UTF-8 scalar. `pos` only ever advances
+                    // past ASCII bytes or whole scalars, so it sits on a
+                    // char boundary and slicing the `&str` is O(1).
+                    let c = self
+                        .input
+                        .get(self.pos..)
+                        .and_then(|rest| rest.chars().next())
+                        .ok_or_else(|| self.error("invalid string position"))?;
                     out.push(c);
                     self.pos += c.len_utf8();
                 }
@@ -315,6 +321,18 @@ mod tests {
         assert_eq!(parse("false").unwrap(), Value::Bool(false));
         assert_eq!(parse("-1.5e2").unwrap(), Value::Number(-150.0));
         assert_eq!(parse("\"hi\"").unwrap(), Value::String("hi".into()));
+    }
+
+    #[test]
+    fn decodes_multibyte_scalars_in_linear_time() {
+        // One- to four-byte scalars next to escapes.
+        let v = parse(r#"["aé→𝄞\n𝄞→éa"]"#).unwrap();
+        assert_eq!(v.as_array().unwrap()[0], Value::String("aé→𝄞\n𝄞→éa".into()));
+        // Half a megabyte of two-byte scalars: re-validating the rest of
+        // the input per character would take hours.
+        let long = "é".repeat(1 << 18);
+        let v = parse(&format!("\"{long}\"")).unwrap();
+        assert_eq!(v, Value::String(long));
     }
 
     #[test]

@@ -71,12 +71,14 @@ pub use flight::FlightObserver;
 pub use hierarchy::{simulate_hierarchy, HierarchyConfig, HierarchyReport};
 pub use latency::{LatencyEstimate, LatencyModel, LinkModel};
 pub use latency_obs::LatencyObserver;
-pub use live::{FixedSource, LiveStatus, LiveSummary, PassSummary, ReplayLoop, TraceSource};
+pub use live::{
+    FixedSource, LiveState, LiveStatus, LiveSummary, PassSummary, ReplayLoop, TraceSource,
+};
 pub use logobs::LogObserver;
 pub use metrics::HitStats;
 pub use observe::{AccessEvent, AccessKind, NoopObserver, Observer, RunMeta};
 pub use occupancy::{OccupancySample, OccupancySeries};
-pub use oracle::{clairvoyant, clairvoyant_overall};
+pub use oracle::{clairvoyant, clairvoyant_overall, WindowedClairvoyant};
 pub use profile::ProfileObserver;
 pub use regret::{RegretConfig, RegretTracker};
 pub use report::Metric;

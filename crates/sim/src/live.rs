@@ -17,7 +17,7 @@
 //! milliseconds). The pacer stops sleeping the moment the shutdown flag
 //! rises, so Ctrl-C never waits on a throttled pass.
 
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::time::{Duration, Instant};
 
 use webcache_core::PolicySpec;
@@ -58,18 +58,50 @@ impl TraceSource for FixedSource {
     }
 }
 
+/// Where a replay loop is in its life, as `/healthz` reports it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum LiveState {
+    /// The loop has not started replaying yet.
+    Starting = 0,
+    /// Passes are running.
+    Replaying = 1,
+    /// The loop has finished: pass budget spent, source dry or shutdown.
+    Done = 2,
+}
+
+impl LiveState {
+    /// Lower-case name, as published in `/healthz`.
+    pub fn label(self) -> &'static str {
+        match self {
+            LiveState::Starting => "starting",
+            LiveState::Replaying => "replaying",
+            LiveState::Done => "done",
+        }
+    }
+
+    fn from_u8(raw: u8) -> LiveState {
+        match raw {
+            0 => LiveState::Starting,
+            1 => LiveState::Replaying,
+            _ => LiveState::Done,
+        }
+    }
+}
+
 /// Replay progress readable from other threads without locking.
 #[derive(Debug, Default)]
 pub struct LiveStatus {
     passes: AtomicU64,
     requests: AtomicU64,
-    replaying: AtomicBool,
+    /// [`LiveState`] as its discriminant; 0 (starting) until the loop
+    /// begins.
+    state: AtomicU8,
     /// `f64` bit pattern of the last completed pass's request rate.
     last_pass_rps: AtomicU64,
 }
 
 impl LiveStatus {
-    /// Creates a zeroed status.
+    /// Creates a zeroed status in the [`LiveState::Starting`] state.
     pub fn new() -> Self {
         LiveStatus::default()
     }
@@ -84,9 +116,14 @@ impl LiveStatus {
         self.requests.load(Ordering::Relaxed)
     }
 
+    /// The loop's lifecycle state.
+    pub fn state(&self) -> LiveState {
+        LiveState::from_u8(self.state.load(Ordering::Acquire))
+    }
+
     /// Whether the replay loop is currently running.
     pub fn replaying(&self) -> bool {
-        self.replaying.load(Ordering::Relaxed)
+        self.state() == LiveState::Replaying
     }
 
     /// Requests per second of the last completed pass (0 before the
@@ -95,9 +132,16 @@ impl LiveStatus {
         f64::from_bits(self.last_pass_rps.load(Ordering::Relaxed))
     }
 
-    /// Flags the replay loop as running / stopped (driver-side).
+    /// Flags the replay loop as running, or as done once it stops
+    /// (replay-loop side). The done state is published with release
+    /// ordering, so a reader that sees it also sees the final totals.
     pub(crate) fn set_replaying(&self, on: bool) {
-        self.replaying.store(on, Ordering::Relaxed);
+        let state = if on {
+            LiveState::Replaying
+        } else {
+            LiveState::Done
+        };
+        self.state.store(state as u8, Ordering::Release);
     }
 
     /// Publishes the totals after a completed pass (driver-side).
@@ -198,7 +242,7 @@ impl ReplayLoop {
         F: FnMut(&PassSummary),
         M: FnMut() -> Simulator,
     {
-        status.replaying.store(true, Ordering::Relaxed);
+        status.set_replaying(true);
         let mut passes = 0u64;
         let mut requests = 0u64;
         while !shutdown.load(Ordering::Relaxed) && self.max_passes.is_none_or(|max| passes < max) {
@@ -219,11 +263,7 @@ impl ReplayLoop {
             let req_per_sec = pass_requests as f64 / elapsed.as_secs_f64().max(1e-9);
             requests += pass_requests;
             passes += 1;
-            status.passes.store(passes, Ordering::Relaxed);
-            status.requests.store(requests, Ordering::Relaxed);
-            status
-                .last_pass_rps
-                .store(req_per_sec.to_bits(), Ordering::Relaxed);
+            status.record_pass(passes, requests, req_per_sec);
             on_pass(&PassSummary {
                 pass: passes - 1,
                 requests: pass_requests,
@@ -232,7 +272,7 @@ impl ReplayLoop {
                 report,
             });
         }
-        status.replaying.store(false, Ordering::Relaxed);
+        status.set_replaying(false);
         LiveSummary { passes, requests }
     }
 }
@@ -361,7 +401,19 @@ mod tests {
         assert_eq!(status.passes(), 3);
         assert_eq!(status.requests(), 600);
         assert!(!status.replaying(), "cleared after the loop ends");
+        assert_eq!(status.state(), LiveState::Done);
         assert!(status.last_pass_req_per_sec() > 0.0);
+    }
+
+    #[test]
+    fn status_starts_before_the_loop_and_ends_done() {
+        let status = LiveStatus::new();
+        assert_eq!(status.state(), LiveState::Starting);
+        assert!(!status.replaying(), "not yet replaying");
+        status.set_replaying(true);
+        assert_eq!(status.state().label(), "replaying");
+        status.set_replaying(false);
+        assert_eq!(status.state().label(), "done");
     }
 
     #[test]

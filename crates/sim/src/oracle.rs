@@ -17,7 +17,7 @@
 use std::collections::HashMap;
 
 use webcache_core::pqueue::IndexedHeap;
-use webcache_trace::{Trace, TypeMap};
+use webcache_trace::{FxHashMap, Trace, TypeMap};
 
 use crate::metrics::HitStats;
 use crate::simulator::{ModificationRule, SimulationConfig};
@@ -115,9 +115,188 @@ pub fn clairvoyant_overall(trace: &Trace, config: &SimulationConfig) -> HitStats
     total
 }
 
+/// No next reference.
+const NONE: u64 = u64::MAX;
+
+/// The clairvoyant policy over short windows of requests, with work
+/// buffers reused from one window to the next.
+///
+/// [`hits`](WindowedClairvoyant::hits) counts exactly the hits that
+/// [`clairvoyant_overall`] reports for the same window replayed with no
+/// warm-up, but it is built for being called over and over (the regret
+/// tracker runs it every few thousand requests):
+///
+/// * documents are interned into window-local slots through an
+///   [`FxHashMap`], so the rest of the replay indexes plain vectors;
+/// * next uses come from one backward pass over the local slots;
+/// * a resident document is keyed by the position of its next request.
+///   Those positions are unique, so the resident set is a bit set over
+///   window positions and "furthest next use" is its highest set bit
+///   (a two-level bitmap: O(1) insert, remove and max);
+/// * documents never requested again go first, from a stack. Their
+///   order (the oracle's size tie-break) cannot change a hit: a live
+///   document is evicted only once every dead one is gone, i.e. exactly
+///   when the live bytes plus the newcomer exceed the capacity, so the
+///   live set evolves the same under any order of the dead.
+///
+/// Once the first window of a given length has run, no call allocates.
+#[derive(Debug, Default)]
+pub struct WindowedClairvoyant {
+    intern: FxHashMap<u64, u32>,
+    /// Window-local slot and transfer size of each request.
+    requests: Vec<(u32, u64)>,
+    next_use: Vec<u64>,
+    /// Per local slot: position of its next request (backward pass),
+    /// last transfer size and resident size.
+    later: Vec<u64>,
+    last_transfer: Vec<Option<u64>>,
+    resident: Vec<Option<u64>>,
+    /// Next-use positions of the resident documents that have one.
+    pending: PositionSet,
+    /// Resident documents with no next use, by local slot.
+    dead: Vec<u32>,
+}
+
+impl WindowedClairvoyant {
+    /// An empty replayer; buffers grow on the first call.
+    pub fn new() -> WindowedClairvoyant {
+        WindowedClairvoyant::default()
+    }
+
+    /// Clairvoyant hits over `window`, a run of `(doc, transfer size)`
+    /// requests, for a cache of `capacity` bytes under `rule`. Every
+    /// request is measured: this equals `clairvoyant_overall(..).hits`
+    /// on the same requests with a zero warm-up fraction.
+    pub fn hits(
+        &mut self,
+        window: impl IntoIterator<Item = (u64, u64)>,
+        capacity: u64,
+        rule: ModificationRule,
+    ) -> u64 {
+        self.intern.clear();
+        self.requests.clear();
+        for (doc, size) in window {
+            let next = self.intern.len() as u32;
+            let slot = *self.intern.entry(doc).or_insert(next);
+            self.requests.push((slot, size));
+        }
+        let docs = self.intern.len();
+        self.later.clear();
+        self.later.resize(docs, NONE);
+        self.last_transfer.clear();
+        self.last_transfer.resize(docs, None);
+        self.resident.clear();
+        self.resident.resize(docs, None);
+        self.next_use.clear();
+        self.next_use.resize(self.requests.len(), NONE);
+        for (i, &(slot, _)) in self.requests.iter().enumerate().rev() {
+            self.next_use[i] = self.later[slot as usize];
+            self.later[slot as usize] = i as u64;
+        }
+        self.pending.reset(self.requests.len());
+        self.dead.clear();
+
+        let mut used = 0u64;
+        let mut hits = 0u64;
+        for (i, &(slot, transfer)) in self.requests.iter().enumerate() {
+            let s = slot as usize;
+            let prev = self.last_transfer[s].replace(transfer);
+            let modified = prev.is_some_and(|p| rule.is_modification(p, transfer));
+            let next = self.next_use[i];
+            // A resident document is keyed by its next use, which is
+            // this very request.
+            if let Some(size) = self.resident[s] {
+                self.pending.remove(i);
+                if !modified {
+                    hits += 1;
+                    match next {
+                        NONE => self.dead.push(slot),
+                        at => self.pending.insert(at as usize),
+                    }
+                    continue;
+                }
+                // Stale copy: drop it and fetch the new version.
+                self.resident[s] = None;
+                used -= size;
+            }
+            // Miss: admit unless too large or dead, evicting the
+            // furthest next use first.
+            if transfer > capacity || next == NONE {
+                continue;
+            }
+            while used + transfer > capacity {
+                let victim = match self.dead.pop() {
+                    Some(victim) => victim,
+                    None => {
+                        let at = self.pending.max().expect("over budget => resident docs");
+                        self.pending.remove(at);
+                        self.requests[at].0
+                    }
+                };
+                used -= self.resident[victim as usize]
+                    .take()
+                    .expect("victims are resident");
+            }
+            self.resident[s] = Some(transfer);
+            self.pending.insert(next as usize);
+            used += transfer;
+        }
+        hits
+    }
+}
+
+/// A set of positions `0..n` as a two-level bitmap: one bit per
+/// position, one summary bit per non-empty word.
+#[derive(Debug, Default)]
+struct PositionSet {
+    words: Vec<u64>,
+    summary: Vec<u64>,
+}
+
+impl PositionSet {
+    /// Empties the set and sizes it for positions `0..n`.
+    fn reset(&mut self, n: usize) {
+        self.words.clear();
+        self.words.resize(n.div_ceil(64), 0);
+        self.summary.clear();
+        self.summary.resize(self.words.len().div_ceil(64), 0);
+    }
+
+    fn insert(&mut self, at: usize) {
+        let w = at / 64;
+        self.words[w] |= 1 << (at % 64);
+        self.summary[w / 64] |= 1 << (w % 64);
+    }
+
+    fn remove(&mut self, at: usize) {
+        let w = at / 64;
+        self.words[w] &= !(1 << (at % 64));
+        if self.words[w] == 0 {
+            self.summary[w / 64] &= !(1 << (w % 64));
+        }
+    }
+
+    /// The highest position in the set.
+    fn max(&self) -> Option<usize> {
+        let (s, &bits) = self
+            .summary
+            .iter()
+            .enumerate()
+            .rev()
+            .find(|&(_, &bits)| bits != 0)?;
+        let w = s * 64 + highest_bit(bits);
+        Some(w * 64 + highest_bit(self.words[w]))
+    }
+}
+
+fn highest_bit(bits: u64) -> usize {
+    63 - bits.leading_zeros() as usize
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use webcache_core::PolicyKind;
     use webcache_trace::{ByteSize, DocId, DocumentType, Request, Timestamp};
 
@@ -233,5 +412,107 @@ mod tests {
         );
         assert_eq!(stats.requests, 2);
         assert_eq!(stats.hits, 2);
+    }
+
+    /// One request of a generated window: a document and how its size
+    /// moves relative to the document's base size.
+    #[derive(Debug, Clone, Copy)]
+    enum Resize {
+        Same,
+        /// Under 5%: a modification under the paper's rule.
+        Nudge,
+        /// Over 5%: an interrupted transfer under the paper's rule.
+        Jump,
+        Zero,
+        /// Larger than any capacity tried.
+        Huge,
+    }
+
+    fn window_strategy() -> impl Strategy<Value = Vec<(u64, Resize)>> {
+        let resize = (0u8..10).prop_map(|r| match r {
+            0 => Resize::Nudge,
+            1 => Resize::Jump,
+            2 => Resize::Zero,
+            3 => Resize::Huge,
+            _ => Resize::Same,
+        });
+        proptest::collection::vec((0u64..48, resize), 0..400)
+    }
+
+    fn sized(window: &[(u64, Resize)]) -> Vec<(u64, u64)> {
+        window
+            .iter()
+            .map(|&(doc, resize)| {
+                let base = 100 + (doc % 9) * 150;
+                let size = match resize {
+                    Resize::Same => base,
+                    Resize::Nudge => base + base / 50,
+                    Resize::Jump => base * 2,
+                    Resize::Zero => 0,
+                    Resize::Huge => 1 << 40,
+                };
+                (doc, size)
+            })
+            .collect()
+    }
+
+    fn as_trace(requests: &[(u64, u64)]) -> Trace {
+        requests
+            .iter()
+            .enumerate()
+            .map(|(i, &(doc, size))| {
+                Request::new(
+                    Timestamp::from_millis(i as u64),
+                    DocId::new(doc),
+                    DocumentType::ALL[(doc % 5) as usize],
+                    ByteSize::new(size),
+                )
+            })
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The windowed replayer counts exactly the oracle's hits, window
+        /// after window on one reused instance, under both modification
+        /// rules and for capacities from one document to the whole
+        /// window's bytes.
+        #[test]
+        fn windowed_clairvoyant_matches_oracle(
+            windows in proptest::collection::vec(window_strategy(), 1..4),
+            fraction in 0.0f64..1.0,
+            any_change in 0u8..2,
+        ) {
+            let rule = if any_change == 1 {
+                ModificationRule::AnyChange
+            } else {
+                ModificationRule::SizeDelta
+            };
+            let mut windowed = WindowedClairvoyant::new();
+            for window in &windows {
+                let requests = sized(window);
+                let total: u64 = requests
+                    .iter()
+                    .map(|&(_, size)| size)
+                    .filter(|&size| size < 1 << 40)
+                    .sum();
+                for capacity in [0, 100, 1_400, (total as f64 * fraction) as u64, total] {
+                    let config = SimulationConfig::new(ByteSize::new(capacity))
+                        .with_warmup_fraction(0.0)
+                        .with_modification_rule(rule);
+                    let expected = clairvoyant_overall(&as_trace(&requests), &config);
+                    let hits = windowed.hits(requests.iter().copied(), capacity, rule);
+                    prop_assert_eq!(hits, expected.hits, "capacity {}", capacity);
+                    let n = requests.len() as f64;
+                    if n > 0.0 {
+                        prop_assert_eq!(
+                            (hits as f64 / n).to_bits(),
+                            expected.hit_rate().to_bits()
+                        );
+                    }
+                }
+            }
+        }
     }
 }

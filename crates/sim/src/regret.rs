@@ -7,12 +7,28 @@
 //!   document would have turned that miss into a hit. Counted per
 //!   document type, since the paper's schemes discriminate by type.
 //! * **Gap to clairvoyant** — every `gap_every` requests, the last
-//!   `gap_window` requests are replayed through
-//!   [`oracle::clairvoyant`](crate::oracle::clairvoyant) and the
-//!   oracle's hit rate over that window is compared with the live hit
-//!   rate over the same window. The gap (oracle − actual, in hit-rate
-//!   points) is the online analogue of the offline "fraction of
-//!   clairvoyant" comparisons in EXPERIMENTS.md.
+//!   `gap_window` requests are replayed through a
+//!   [`WindowedClairvoyant`] (hit for hit the same as
+//!   [`oracle::clairvoyant_overall`](crate::oracle::clairvoyant_overall)
+//!   on that window) and the oracle's hit rate over that window is
+//!   compared with the live hit rate over the same window. The gap
+//!   (oracle − actual, in hit-rate points) is the online analogue of the
+//!   offline "fraction of clairvoyant" comparisons in EXPERIMENTS.md.
+//!
+//! # Cost
+//!
+//! Per request the tracker does O(1) work with no hashing: one vector
+//! read and write for the wasted-eviction check, one ring push for the
+//! trailing window. The clairvoyant replay costs O(`gap_window`) once
+//! every `gap_every` requests and reuses its buffers, so after the
+//! first window it allocates nothing. Memory is bounded:
+//! one eviction clock per document slot plus the `gap_window` ring.
+//!
+//! The tracker keeps its own request clock, which never resets, so
+//! windows keep their meaning across the passes of a serve loop (the
+//! per-pass `AccessEvent::index` restarts at 0 every pass). Document
+//! ids are expected to be dense slots, as every dense and sharded replay
+//! delivers them: the eviction clocks are a vector indexed by slot.
 //!
 //! [`RegretTracker`] is an [`Observer`], so it composes with the other
 //! serve-path observers via tuple nesting, and exports through a
@@ -23,15 +39,15 @@
 //! * `webcache_regret_gap_to_clairvoyant` (gauge, hit-rate points)
 //! * `webcache_regret_window_hit_rate` / `webcache_regret_oracle_hit_rate`
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use webcache_core::Eviction;
 use webcache_obs::{Counter, Gauge, Registry};
-use webcache_trace::{ByteSize, DocumentType, Request, Timestamp, Trace, TypeMap};
+use webcache_trace::{ByteSize, DocumentType, TypeMap};
 
 use crate::observe::{AccessEvent, AccessKind, Observer, RunMeta};
-use crate::oracle;
-use crate::simulator::SimulationConfig;
+use crate::oracle::WindowedClairvoyant;
+use crate::simulator::ModificationRule;
 
 /// Sizing knobs for [`RegretTracker`].
 #[derive(Debug, Clone, Copy)]
@@ -66,19 +82,26 @@ struct RegretMetrics {
     oracle_hit_rate: Gauge,
 }
 
+/// Marks a slot with no eviction awaiting re-request.
+const NOT_PENDING: u64 = u64::MAX;
+
 /// Observer computing online regret metrics. See the module docs.
 #[derive(Debug)]
 pub struct RegretTracker {
     config: RegretConfig,
     capacity: ByteSize,
-    /// Victims awaiting (possible) re-request: doc → eviction index.
-    pending: HashMap<u64, u64>,
-    /// Eviction order, for lazy expiry of `pending` past `window`.
-    order: VecDeque<(u64, u64)>,
+    /// Per document slot: the clock of its latest eviction not yet
+    /// followed by a request, or [`NOT_PENDING`]. Grown on demand.
+    evicted_at: Vec<u64>,
     evictions: TypeMap<u64>,
     wasted: TypeMap<u64>,
-    /// Trailing requests: (doc, type, size, hit).
-    recent: VecDeque<(u64, DocumentType, u64, bool)>,
+    /// Trailing requests: (doc, size, hit), at most `gap_window` long.
+    recent: VecDeque<(u64, u64, bool)>,
+    /// Hits among `recent`.
+    recent_hits: usize,
+    oracle: WindowedClairvoyant,
+    /// Requests seen across every pass; the clock of the current
+    /// request is `seen - 1`.
     seen: u64,
     last_gap: Option<f64>,
     metrics: Option<RegretMetrics>,
@@ -90,11 +113,12 @@ impl RegretTracker {
         RegretTracker {
             config,
             capacity: ByteSize::new(1),
-            pending: HashMap::new(),
-            order: VecDeque::new(),
+            evicted_at: Vec::new(),
             evictions: TypeMap::default(),
             wasted: TypeMap::default(),
             recent: VecDeque::new(),
+            recent_hits: 0,
+            oracle: WindowedClairvoyant::new(),
             seen: 0,
             last_gap: None,
             metrics: None,
@@ -151,47 +175,21 @@ impl RegretTracker {
         self.last_gap
     }
 
-    /// Drops pending victims evicted more than `window` requests ago.
-    fn expire_pending(&mut self, now: u64) {
-        while let Some(&(at, doc)) = self.order.front() {
-            if now.saturating_sub(at) <= self.config.window {
-                break;
-            }
-            self.order.pop_front();
-            // Only remove if the map still holds this eviction (the doc
-            // may have been re-evicted later with a fresher index).
-            if self.pending.get(&doc) == Some(&at) {
-                self.pending.remove(&doc);
-            }
-        }
-    }
-
     /// Replays the trailing window through the clairvoyant oracle and
     /// updates the gap gauge.
     fn recompute_gap(&mut self) {
         if self.recent.is_empty() {
             return;
         }
-        let hits = self.recent.iter().filter(|&&(_, _, _, hit)| hit).count();
-        let actual = hits as f64 / self.recent.len() as f64;
-        let trace: Trace = self
-            .recent
-            .iter()
-            .enumerate()
-            .map(|(i, &(doc, ty, size, _))| {
-                Request::new(
-                    Timestamp::from_millis(i as u64),
-                    webcache_trace::DocId::new(doc),
-                    ty,
-                    ByteSize::new(size),
-                )
-            })
-            .collect();
-        let config = SimulationConfig::builder()
-            .capacity(self.capacity)
-            .warmup_fraction(0.0)
-            .build();
-        let oracle_hr = oracle::clairvoyant_overall(&trace, &config).hit_rate();
+        let len = self.recent.len() as f64;
+        let actual = self.recent_hits as f64 / len;
+        // Judged like a default replay: the paper's modification rule.
+        let oracle_hits = self.oracle.hits(
+            self.recent.iter().map(|&(doc, size, _)| (doc, size)),
+            self.capacity.as_u64(),
+            ModificationRule::default(),
+        );
+        let oracle_hr = oracle_hits as f64 / len;
         let gap = oracle_hr - actual;
         self.last_gap = Some(gap);
         if let Some(m) = &self.metrics {
@@ -211,14 +209,15 @@ impl Observer for RegretTracker {
     }
 
     fn on_access(&mut self, event: AccessEvent, kind: AccessKind) {
+        let now = self.seen;
         self.seen += 1;
         let doc = event.doc.as_u64();
         let hit = matches!(kind, AccessKind::Hit);
 
         // Wasted-eviction check: was this doc evicted recently?
-        self.expire_pending(event.index);
-        if let Some(at) = self.pending.remove(&doc) {
-            if event.index.saturating_sub(at) <= self.config.window {
+        if let Some(at) = self.evicted_at.get_mut(doc as usize) {
+            let evicted = std::mem::replace(at, NOT_PENDING);
+            if evicted != NOT_PENDING && now - evicted <= self.config.window {
                 self.wasted[event.doc_type] += 1;
                 if let Some(m) = &self.metrics {
                     m.wasted[event.doc_type.index()].inc();
@@ -228,10 +227,12 @@ impl Observer for RegretTracker {
 
         // Trailing window for the clairvoyant gap.
         if self.config.gap_every > 0 {
-            self.recent
-                .push_back((doc, event.doc_type, event.size.as_u64(), hit));
-            while self.recent.len() > self.config.gap_window {
-                self.recent.pop_front();
+            self.recent.push_back((doc, event.size.as_u64(), hit));
+            self.recent_hits += usize::from(hit);
+            if self.recent.len() > self.config.gap_window {
+                if let Some((_, _, old_hit)) = self.recent.pop_front() {
+                    self.recent_hits -= usize::from(old_hit);
+                }
             }
             if self.seen.is_multiple_of(self.config.gap_every) {
                 self.recompute_gap();
@@ -239,14 +240,16 @@ impl Observer for RegretTracker {
         }
     }
 
-    fn on_evict(&mut self, at: AccessEvent, evicted: Eviction) {
-        let doc = evicted.doc.as_u64();
+    fn on_evict(&mut self, _at: AccessEvent, evicted: Eviction) {
+        let doc = evicted.doc.as_u64() as usize;
         self.evictions[evicted.doc_type] += 1;
         if let Some(m) = &self.metrics {
             m.evictions[evicted.doc_type.index()].inc();
         }
-        self.pending.insert(doc, at.index);
-        self.order.push_back((at.index, doc));
+        if doc >= self.evicted_at.len() {
+            self.evicted_at.resize(doc + 1, NOT_PENDING);
+        }
+        self.evicted_at[doc] = self.seen.saturating_sub(1);
     }
 }
 
@@ -254,10 +257,15 @@ impl Observer for RegretTracker {
 mod tests {
     use super::*;
 
-    use webcache_core::PolicyKind;
-    use webcache_trace::DocId;
+    use std::collections::HashMap;
+    use std::sync::atomic::AtomicBool;
 
-    use crate::Simulator;
+    use proptest::prelude::*;
+    use webcache_core::{CostModel, PolicyKind};
+    use webcache_trace::{DocId, Request, Timestamp, Trace};
+
+    use crate::live::{FixedSource, LiveStatus, ReplayLoop};
+    use crate::{SimulationConfig, Simulator};
 
     fn req(i: u64, doc: u64, size: u64) -> Request {
         Request::new(
@@ -353,5 +361,206 @@ mod tests {
             text.contains("webcache_regret_evictions_total{doc_type=\"HTML\"} 3"),
             "{text}"
         );
+    }
+
+    /// The wasted-eviction bookkeeping the slot vector replaced: a
+    /// SipHash map of pending victims plus an expiry deque. It is clocked
+    /// by `event.index` shifted by the requests of earlier passes, i.e.
+    /// by a clock that does not restart with each pass.
+    #[derive(Debug)]
+    struct HashMapReference {
+        window: u64,
+        offset: u64,
+        pass_len: u64,
+        pending: HashMap<u64, u64>,
+        order: VecDeque<(u64, u64)>,
+        wasted: TypeMap<u64>,
+    }
+
+    impl HashMapReference {
+        fn new(window: u64) -> Self {
+            HashMapReference {
+                window,
+                offset: 0,
+                pass_len: 0,
+                pending: HashMap::new(),
+                order: VecDeque::new(),
+                wasted: TypeMap::default(),
+            }
+        }
+
+        fn expire_pending(&mut self, now: u64) {
+            while let Some(&(at, doc)) = self.order.front() {
+                if now.saturating_sub(at) <= self.window {
+                    break;
+                }
+                self.order.pop_front();
+                if self.pending.get(&doc) == Some(&at) {
+                    self.pending.remove(&doc);
+                }
+            }
+        }
+    }
+
+    impl Observer for HashMapReference {
+        fn on_run_start(&mut self, meta: RunMeta) {
+            self.offset += self.pass_len;
+            self.pass_len = meta.total_requests as u64;
+        }
+
+        fn on_access(&mut self, event: AccessEvent, _kind: AccessKind) {
+            let now = self.offset + event.index;
+            self.expire_pending(now);
+            if let Some(at) = self.pending.remove(&event.doc.as_u64()) {
+                if now.saturating_sub(at) <= self.window {
+                    self.wasted[event.doc_type] += 1;
+                }
+            }
+        }
+
+        fn on_evict(&mut self, at: AccessEvent, evicted: Eviction) {
+            let now = self.offset + at.index;
+            self.pending.insert(evicted.doc.as_u64(), now);
+            self.order.push_back((now, evicted.doc.as_u64()));
+        }
+    }
+
+    /// Tracker and reference side by side, with both wasted counts and
+    /// the tracker's state size snapshotted at the end of every pass.
+    #[derive(Debug)]
+    struct Paired {
+        tracker: RegretTracker,
+        reference: HashMapReference,
+        per_pass: Vec<(TypeMap<u64>, TypeMap<u64>)>,
+        max_state: usize,
+    }
+
+    impl Observer for Paired {
+        fn on_run_start(&mut self, meta: RunMeta) {
+            self.tracker.on_run_start(meta);
+            self.reference.on_run_start(meta);
+        }
+
+        fn on_access(&mut self, event: AccessEvent, kind: AccessKind) {
+            self.tracker.on_access(event, kind);
+            self.reference.on_access(event, kind);
+        }
+
+        fn on_evict(&mut self, at: AccessEvent, evicted: Eviction) {
+            self.tracker.on_evict(at, evicted);
+            self.reference.on_evict(at, evicted);
+        }
+
+        fn on_run_end(&mut self) {
+            self.per_pass
+                .push((self.tracker.wasted, self.reference.wasted));
+            let state = self.tracker.evicted_at.len() + self.tracker.recent.len();
+            self.max_state = self.max_state.max(state);
+        }
+    }
+
+    /// A deterministic pseudo-random stream over `docs` documents of
+    /// mixed types.
+    fn scattered(len: u64, docs: u64, seed: u64) -> Trace {
+        let mut state = seed;
+        (0..len)
+            .map(|i| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                let doc = (state >> 33) % docs;
+                Request::new(
+                    Timestamp::from_millis(i),
+                    DocId::new(doc),
+                    DocumentType::ALL[(doc % 5) as usize],
+                    ByteSize::new(200 + (doc % 7) * 100),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn expiry_holds_across_serve_passes() {
+        let trace = scattered(3_000, 300, 11);
+        let distinct = trace.distinct_documents();
+        let config = RegretConfig {
+            window: 64,
+            gap_window: 256,
+            gap_every: 256,
+        };
+        let mut paired = Paired {
+            tracker: RegretTracker::new(config),
+            reference: HashMapReference::new(config.window),
+            per_pass: Vec::new(),
+            max_state: 0,
+        };
+        let replay = ReplayLoop {
+            config: SimulationConfig::builder()
+                .capacity(ByteSize::new(20_000))
+                .warmup_fraction(0.0)
+                .build(),
+            spec: PolicyKind::Lru.into(),
+            rate: None,
+            max_passes: Some(3),
+        };
+        let summary = replay.run(
+            &mut FixedSource::new(&trace),
+            &mut paired,
+            &LiveStatus::new(),
+            &AtomicBool::new(false),
+            |_| {},
+        );
+        assert_eq!(summary.passes, 3);
+        assert_eq!(paired.per_pass.len(), 3);
+        for (pass, (tracker, reference)) in paired.per_pass.iter().enumerate() {
+            for ty in DocumentType::ALL {
+                assert_eq!(tracker[ty], reference[ty], "pass {pass}, {ty:?}");
+            }
+        }
+        let total: u64 = DocumentType::ALL
+            .iter()
+            .map(|&ty| paired.per_pass[2].0[ty])
+            .sum();
+        assert!(total > 0, "the trace must produce wasted evictions");
+        assert!(
+            paired.max_state <= distinct + config.gap_window,
+            "state {} exceeds {distinct} slots + {} window",
+            paired.max_state,
+            config.gap_window
+        );
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Single-pass wasted-eviction counts equal the map-based
+        /// bookkeeping for every document type, across policies,
+        /// capacities and windows.
+        #[test]
+        fn wasted_evictions_match_hashmap_reference(
+            docs in 1u64..80,
+            len in 1u64..1_500,
+            seed in 0u64..u64::MAX,
+            capacity in 100u64..20_000,
+            window in 0u64..300,
+            policy in 0usize..3,
+        ) {
+            let trace = scattered(len, docs, seed);
+            let config = RegretConfig { window, gap_window: 128, gap_every: 64 };
+            let mut obs = (RegretTracker::new(config), HashMapReference::new(window));
+            let kind = [
+                PolicyKind::Lru,
+                PolicyKind::GdStar(CostModel::Packet),
+                PolicyKind::LfuDa,
+            ][policy];
+            let sim_config = SimulationConfig::builder()
+                .capacity(ByteSize::new(capacity))
+                .warmup_fraction(0.0)
+                .build();
+            Simulator::new(kind.build(), sim_config).run_observed(&trace, &mut obs);
+            for ty in DocumentType::ALL {
+                prop_assert_eq!(obs.0.wasted(ty), obs.1.wasted[ty], "{:?}", ty);
+            }
+        }
     }
 }

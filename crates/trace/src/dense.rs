@@ -17,7 +17,7 @@
 use crate::doctype::DocumentType;
 use crate::error::TraceError;
 use crate::format::type_from_char;
-use crate::format_bin::{MAGIC, RECORD_BYTES, VERSION};
+use crate::format_bin::RECORD_BYTES;
 use crate::fxhash::FxHashMap;
 use crate::record::Trace;
 use crate::types::{ByteSize, DocId};
@@ -80,51 +80,24 @@ impl DenseTrace {
     /// version, truncated header or records, trailing bytes, invalid
     /// type tags.
     pub fn from_wctb_bytes(bytes: &[u8]) -> Result<Self, TraceError> {
-        let Some(header) = bytes.get(..16) else {
-            return Err(TraceError::parse(0, "truncated header"));
-        };
-        if header[..4] != MAGIC {
-            return Err(TraceError::parse(0, "bad magic (not a WCTB trace)"));
-        }
-        if header[4] != VERSION {
-            return Err(TraceError::parse(
-                0,
-                format!("unsupported version {}", header[4]),
-            ));
-        }
-        let count = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
-        let body = &bytes[16..];
-
-        let cap = usize::try_from(count).unwrap_or(0);
-        let mut docs = Vec::with_capacity(cap);
-        let mut sizes = Vec::with_capacity(cap);
-        let mut types = Vec::with_capacity(cap);
+        // Buffers are sized from the body actually present, never from
+        // the (possibly forged) header count alone.
+        let (count, body) = crate::format_bin::checked_body(bytes)?;
+        let mut docs = Vec::with_capacity(count);
+        let mut sizes = Vec::with_capacity(count);
+        let mut types = Vec::with_capacity(count);
         let mut intern: FxHashMap<u64, u32> = FxHashMap::default();
-        for i in 0..count {
-            let offset = i as usize * RECORD_BYTES;
-            let Some(record) = body.get(offset..offset + RECORD_BYTES) else {
-                return Err(TraceError::parse(
-                    i as usize + 1,
-                    format!("truncated record {i} of {count}"),
-                ));
-            };
+        for (i, record) in body.chunks_exact(RECORD_BYTES).enumerate() {
             // record[0..8] is the timestamp: validated by presence, unused.
             let doc = u64::from_le_bytes(record[8..16].try_into().expect("8 bytes"));
             let size = u64::from_le_bytes(record[16..24].try_into().expect("8 bytes"));
-            let ty = type_from_char(record[24] as char).ok_or_else(|| {
-                TraceError::parse(i as usize + 1, format!("bad type tag {}", record[24]))
-            })?;
+            let ty = type_from_char(record[24] as char)
+                .ok_or_else(|| TraceError::parse(i + 1, format!("bad type tag {}", record[24])))?;
             let next = intern.len() as u32;
             let slot = *intern.entry(doc).or_insert(next);
             docs.push(slot);
             sizes.push(size);
             types.push(ty.index() as u8);
-        }
-        if body.len() > cap * RECORD_BYTES {
-            return Err(TraceError::parse(
-                cap + 1,
-                "trailing bytes after final record",
-            ));
         }
         Ok(DenseTrace {
             docs,
@@ -268,6 +241,16 @@ mod tests {
         let via_trace = DenseTrace::build(&crate::format_bin::from_bytes(&bytes).unwrap());
         assert_eq!(direct, via_trace);
         assert_eq!(direct, DenseTrace::build(&trace));
+    }
+
+    #[test]
+    fn from_wctb_bytes_rejects_forged_record_count() {
+        let bytes = crate::format_bin::tests::forged_header();
+        let err = DenseTrace::from_wctb_bytes(&bytes).unwrap_err().to_string();
+        assert!(
+            err.contains("truncated record 12 of 1099511627776"),
+            "{err}"
+        );
     }
 
     #[test]

@@ -54,6 +54,66 @@ pub fn write_trace_bin<W: Write>(mut writer: W, trace: &Trace) -> io::Result<()>
     Ok(())
 }
 
+/// Records [`read_trace_bin`] reserves up front at most. A reader's
+/// length is unknown, so a forged record count must not size the
+/// buffer; past this the trace grows as records actually arrive.
+const PREALLOC_RECORDS: usize = 1 << 16;
+
+/// Checks magic and version, returning the declared record count.
+fn parse_header(header: &[u8]) -> Result<u64, TraceError> {
+    if header[..4] != MAGIC {
+        return Err(TraceError::parse(0, "bad magic (not a WCTB trace)"));
+    }
+    if header[4] != VERSION {
+        return Err(TraceError::parse(
+            0,
+            format!("unsupported version {}", header[4]),
+        ));
+    }
+    Ok(u64::from_le_bytes(
+        header[8..16].try_into().expect("8 bytes"),
+    ))
+}
+
+/// Checks the header of an in-memory trace and that its body holds
+/// exactly the declared number of records. Returns the record count and
+/// the body, so callers can size buffers from the input length rather
+/// than from a header that may be forged.
+pub(crate) fn checked_body(bytes: &[u8]) -> Result<(usize, &[u8]), TraceError> {
+    let Some(header) = bytes.get(..16) else {
+        return Err(TraceError::parse(0, "truncated header"));
+    };
+    let count = parse_header(header)?;
+    let body = &bytes[16..];
+    let held = body.len() / RECORD_BYTES;
+    match usize::try_from(count) {
+        Ok(c) if c == held && body.len().is_multiple_of(RECORD_BYTES) => Ok((c, body)),
+        Ok(c) if c <= held => Err(TraceError::parse(
+            c + 1,
+            "trailing bytes after final record",
+        )),
+        _ => Err(TraceError::parse(
+            held + 1,
+            format!("truncated record {held} of {count}"),
+        )),
+    }
+}
+
+/// Decodes one fixed-width record; `line` is its 1-based position.
+fn decode_record(record: &[u8], line: usize) -> Result<Request, TraceError> {
+    let ts = u64::from_le_bytes(record[0..8].try_into().expect("8 bytes"));
+    let doc = u64::from_le_bytes(record[8..16].try_into().expect("8 bytes"));
+    let size = u64::from_le_bytes(record[16..24].try_into().expect("8 bytes"));
+    let ty = type_from_char(record[24] as char)
+        .ok_or_else(|| TraceError::parse(line, format!("bad type tag {}", record[24])))?;
+    Ok(Request::new(
+        Timestamp::from_millis(ts),
+        DocId::new(doc),
+        ty,
+        ByteSize::new(size),
+    ))
+}
+
 /// Reads a trace in the binary format.
 ///
 /// # Errors
@@ -66,35 +126,16 @@ pub fn read_trace_bin<R: Read>(mut reader: R) -> Result<Trace, TraceError> {
     reader
         .read_exact(&mut header)
         .map_err(|_| TraceError::parse(0, "truncated header"))?;
-    if header[..4] != MAGIC {
-        return Err(TraceError::parse(0, "bad magic (not a WCTB trace)"));
-    }
-    if header[4] != VERSION {
-        return Err(TraceError::parse(
-            0,
-            format!("unsupported version {}", header[4]),
-        ));
-    }
-    let count = u64::from_le_bytes(header[8..16].try_into().expect("8 bytes"));
+    let count = parse_header(&header)?;
 
-    let mut trace = Trace::with_capacity(usize::try_from(count).unwrap_or(0));
+    let reserve = usize::try_from(count).map_or(PREALLOC_RECORDS, |c| c.min(PREALLOC_RECORDS));
+    let mut trace = Trace::with_capacity(reserve);
     let mut record = [0u8; RECORD_BYTES];
     for i in 0..count {
         reader.read_exact(&mut record).map_err(|_| {
             TraceError::parse(i as usize + 1, format!("truncated record {i} of {count}"))
         })?;
-        let ts = u64::from_le_bytes(record[0..8].try_into().expect("8 bytes"));
-        let doc = u64::from_le_bytes(record[8..16].try_into().expect("8 bytes"));
-        let size = u64::from_le_bytes(record[16..24].try_into().expect("8 bytes"));
-        let ty = type_from_char(record[24] as char).ok_or_else(|| {
-            TraceError::parse(i as usize + 1, format!("bad type tag {}", record[24]))
-        })?;
-        trace.push(Request::new(
-            Timestamp::from_millis(ts),
-            DocId::new(doc),
-            ty,
-            ByteSize::new(size),
-        ));
+        trace.push(decode_record(&record, i as usize + 1)?);
     }
     // Trailing data after the declared count indicates a corrupt writer.
     let mut probe = [0u8; 1];
@@ -117,15 +158,24 @@ pub fn to_bytes(trace: &Trace) -> Vec<u8> {
 
 /// Parses a trace from an in-memory byte slice.
 ///
+/// The declared record count must match the body length exactly, and
+/// it is checked before anything is allocated, so a forged header costs
+/// an error rather than a huge allocation.
+///
 /// # Errors
 ///
 /// Same as [`read_trace_bin`].
 pub fn from_bytes(bytes: &[u8]) -> Result<Trace, TraceError> {
-    read_trace_bin(bytes)
+    let (count, body) = checked_body(bytes)?;
+    let mut trace = Trace::with_capacity(count);
+    for (i, record) in body.chunks_exact(RECORD_BYTES).enumerate() {
+        trace.push(decode_record(record, i + 1)?);
+    }
+    Ok(trace)
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::doctype::DocumentType;
 
@@ -194,6 +244,35 @@ mod tests {
     fn trailing_garbage_is_detected() {
         let mut bytes = to_bytes(&sample());
         bytes.push(0xFF);
+        let err = from_bytes(&bytes).unwrap_err().to_string();
+        assert!(err.contains("trailing"), "{err}");
+    }
+
+    /// A 336-byte file whose header claims 2^40 records.
+    pub(crate) fn forged_header() -> Vec<u8> {
+        let mut bytes = to_bytes(&sample().iter().take(14).copied().collect());
+        bytes[8..16].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        bytes.truncate(336);
+        bytes
+    }
+
+    #[test]
+    fn forged_record_count_is_an_error_not_an_allocation() {
+        let bytes = forged_header();
+        assert_eq!(bytes.len(), 336);
+        let err = from_bytes(&bytes).unwrap_err().to_string();
+        assert!(
+            err.contains("truncated record 12 of 1099511627776"),
+            "{err}"
+        );
+        let err = read_trace_bin(bytes.as_slice()).unwrap_err().to_string();
+        assert!(err.contains("truncated record 12 of"), "{err}");
+    }
+
+    #[test]
+    fn undercounted_header_is_trailing_data() {
+        let mut bytes = to_bytes(&sample());
+        bytes[8..16].copy_from_slice(&3u64.to_le_bytes());
         let err = from_bytes(&bytes).unwrap_err().to_string();
         assert!(err.contains("trailing"), "{err}");
     }
