@@ -127,26 +127,46 @@ fn sweep_single_shard_matches_default_and_bad_counts_error() {
     fs::remove_file(path).ok();
 }
 
+/// Cross-path check: `simulate` (one `Simulator` run) and `sweep` (the
+/// parallel grid engine) must report the same per-type counts, hit
+/// rates and byte hit rates for the same policy at the same capacity.
 #[test]
-fn sweep_serial_switch_matches_batched_default() {
-    let path = generate_trace("serial.wct");
-    let batched = run(&argv(&format!(
-        "sweep --trace {} --policies gd*p,lfu-da --fractions 0.01,0.05 --csv",
+fn simulate_matches_sweep_cell_per_type() {
+    let path = generate_trace("cross.wct");
+    let simulate = run(&argv(&format!(
+        "simulate --trace {} --policy lru --capacity 5%",
         path.display()
     )))
     .unwrap();
-    let serial = run(&argv(&format!(
-        "sweep --trace {} --policies gd*p,lfu-da --fractions 0.01,0.05 --csv --serial",
+    let sweep = run(&argv(&format!(
+        "sweep --trace {} --policies lru,gd*p --fractions 0.05 --csv",
         path.display()
     )))
     .unwrap();
-    assert_eq!(batched, serial, "batched replay must not change results");
-    let err = run(&argv(&format!(
-        "sweep --trace {} --batched --serial",
-        path.display()
-    )))
-    .unwrap_err();
-    assert!(err.to_string().contains("at most one"), "{err}");
+    let mut compared = 0;
+    // Simulate rows: type, requests, hits, hit rate, byte hit rate,
+    // modification misses; the type name may contain a space.
+    for line in simulate.lines().skip(3).take_while(|l| !l.is_empty()) {
+        let cols: Vec<&str> = line.split_whitespace().collect();
+        let n = cols.len();
+        let scope = cols[..n - 5].join(" ");
+        let cell: Vec<&str> = sweep
+            .lines()
+            .map(|l| l.split(',').collect::<Vec<_>>())
+            .find(|c| c[0] == "LRU" && c[2] == scope)
+            .unwrap_or_else(|| panic!("no sweep LRU row for {scope}:\n{sweep}"));
+        assert_eq!(cols[n - 5], cell[3], "{scope} requests");
+        assert_eq!(cols[n - 4], cell[4], "{scope} hits");
+        for (what, simulated, swept) in [
+            ("hit rate", cols[n - 3], cell[5]),
+            ("byte hit rate", cols[n - 2], cell[6]),
+        ] {
+            let swept: f64 = swept.parse().unwrap();
+            assert_eq!(simulated, format!("{swept:.4}"), "{scope} {what}");
+        }
+        compared += 1;
+    }
+    assert_eq!(compared, 6, "five document types plus Overall:\n{simulate}");
     fs::remove_file(path).ok();
 }
 

@@ -316,9 +316,7 @@ impl ShardedEngine {
     /// `per_shard_distinct[s]` is shard `s`'s distinct-document count and
     /// its documents must be addressed as `DocId::new(local_slot)` with
     /// shard-local slots `0..per_shard_distinct[s]` (a sharded trace
-    /// view computes the mapping). With `batched`, every shard's policy
-    /// is switched to deferred heap maintenance before it moves into its
-    /// cache, matching the batched replay loop.
+    /// view computes the mapping).
     ///
     /// # Errors
     ///
@@ -334,7 +332,6 @@ impl ShardedEngine {
         spec: impl Into<PolicySpec>,
         admission: AdmissionRule,
         per_shard_distinct: &[usize],
-        batched: bool,
     ) -> Result<ShardedEngine, ShardConfigError> {
         let spec = spec.into();
         let admission = spec.admission_or(admission);
@@ -342,20 +339,14 @@ impl ShardedEngine {
         let shard_capacity = Self::split_capacity(capacity, per_shard_distinct.len());
         let shards = per_shard_distinct
             .iter()
-            .map(|&distinct| {
-                let mut policy = spec.build();
-                if batched {
-                    policy.set_batched(true);
-                }
-                Shard {
-                    cache: Mutex::new(Cache::with_dense_slots(
-                        shard_capacity,
-                        policy,
-                        admission,
-                        distinct,
-                    )),
-                    counters: ShardCounters::default(),
-                }
+            .map(|&distinct| Shard {
+                cache: Mutex::new(Cache::with_dense_slots(
+                    shard_capacity,
+                    spec.build(),
+                    admission,
+                    distinct,
+                )),
+                counters: ShardCounters::default(),
             })
             .collect();
         Ok(ShardedEngine {

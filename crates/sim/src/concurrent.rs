@@ -6,10 +6,10 @@
 //! (fx-hash routing, identical to [`ShardedEngine::route`]); clients
 //! then take shards round-robin (client `c` owns shards `c`, `c + M`,
 //! `c + 2M`, …) and replay each owned shard's subsequence through the
-//! batched hot loop of PR 6 — modification pre-pass over the SoA
-//! arrays, alloc-free inserts, deferred heap maintenance — holding that
-//! shard's stripe lock for the duration and publishing progress through
-//! the engine's lock-free counters batch by batch.
+//! same request-at-a-time loop as
+//! [`Simulator::run_dense_observed`](crate::Simulator::run_dense_observed),
+//! holding that shard's stripe lock for the duration and publishing
+//! progress through the engine's lock-free counters every 128 requests.
 //!
 //! ## Determinism
 //!
@@ -39,8 +39,13 @@ use webcache_trace::{ByteSize, DenseTrace, DocumentType, TypeMap};
 use crate::live::{LiveStatus, LiveSummary, TraceSource};
 use crate::metrics::HitStats;
 use crate::observe::{AccessEvent, NoopObserver, Observer, RunMeta};
-use crate::simulator::{access_kind, notify_insert, SimulationConfig, SimulationReport};
-use crate::simulator::{DEFAULT_BATCH_SIZE, NO_TRANSFER};
+use crate::simulator::{
+    access_kind, notify_insert, SimulationConfig, SimulationReport, NO_TRANSFER,
+};
+
+/// Requests a shard replays between counter publications, shutdown
+/// checks and throttle sleeps.
+const PUBLISH_EVERY: usize = 128;
 
 /// A [`DenseTrace`] pre-split for an `N`-shard engine.
 ///
@@ -226,8 +231,6 @@ pub struct ConcurrentSimulator {
     /// Simulation parameters; `capacity` is the total budget split
     /// evenly across shards, `occupancy_samples` is ignored.
     pub config: SimulationConfig,
-    /// Batch size of the per-shard hot loop.
-    pub batch_size: usize,
     /// Optional per-shard lock-contention probes, cloned onto each
     /// pass's engine (the handles share cells, so stats accumulate
     /// across passes). `None` leaves the engine's lock path
@@ -236,7 +239,7 @@ pub struct ConcurrentSimulator {
 }
 
 impl ConcurrentSimulator {
-    /// A concurrent simulator with the default batch size. Accepts a
+    /// A concurrent simulator without lock probes. Accepts a
     /// bare [`PolicyKind`](webcache_core::PolicyKind) or a composed
     /// spec; a spec-level admission filter overrides
     /// [`SimulationConfig::admission_rule`], mirroring
@@ -248,7 +251,6 @@ impl ConcurrentSimulator {
         ConcurrentSimulator {
             spec,
             config,
-            batch_size: DEFAULT_BATCH_SIZE,
             lock_probes: None,
         }
     }
@@ -311,8 +313,8 @@ impl ConcurrentSimulator {
 
     /// The full-control variant: an optional aggregate request-rate
     /// throttle (split across clients in proportion to their share of
-    /// the trace) and an optional shutdown flag checked at batch
-    /// boundaries (a raised flag abandons the rest of the replay and
+    /// the trace) and an optional shutdown flag checked every 128
+    /// requests (a raised flag abandons the rest of the replay and
     /// marks the report `completed: false`).
     pub fn run_sharded_controlled<O, F>(
         &self,
@@ -335,7 +337,6 @@ impl ConcurrentSimulator {
             self.spec,
             self.config.admission_rule,
             sharded.per_shard_distinct(),
-            true,
         )
         .expect("ShardedTrace shard count is validated");
         if let Some(probes) = &self.lock_probes {
@@ -368,7 +369,6 @@ impl ConcurrentSimulator {
                                     shard,
                                     warmup_end,
                                     self.config,
-                                    self.batch_size,
                                     &mut observer,
                                     throttle.as_mut(),
                                     shutdown,
@@ -437,9 +437,10 @@ struct ShardOutcome {
     completed: bool,
 }
 
-/// The per-shard batched hot loop: PR 6's replay specialized to one
+/// The per-shard hot loop: the serial dense replay specialized to one
 /// shard's subsequence. Holds the shard lock (the caller passes the
-/// locked cache) and publishes counter deltas per batch.
+/// locked cache) and publishes counter deltas every [`PUBLISH_EVERY`]
+/// requests.
 #[allow(clippy::too_many_arguments)]
 fn replay_shard<O: Observer>(
     cache: &mut Cache,
@@ -449,12 +450,10 @@ fn replay_shard<O: Observer>(
     shard: usize,
     warmup_end: usize,
     config: SimulationConfig,
-    batch_size: usize,
     observer: &mut O,
     mut throttle: Option<&mut Throttle>,
     shutdown: Option<&AtomicBool>,
 ) -> ShardOutcome {
-    let batch_size = batch_size.max(1);
     let requests = &sharded.shard_requests[shard];
     let distinct = sharded.per_shard_distinct[shard];
     observer.on_run_start(RunMeta {
@@ -470,7 +469,6 @@ fn replay_shard<O: Observer>(
     let global_of = &sharded.global_of_local[shard];
 
     let mut last_transfer: Vec<u64> = vec![NO_TRANSFER; distinct];
-    let mut modified_flags = vec![false; batch_size.min(requests.len().max(1))];
     let mut evicted: Vec<Eviction> = Vec::new();
     let mut by_type: TypeMap<HitStats> = TypeMap::default();
     let mut summary = ShardSummary {
@@ -484,37 +482,30 @@ fn replay_shard<O: Observer>(
     };
     let mut completed = true;
 
-    'batches: for batch in requests.chunks(batch_size) {
-        if let Some(flag) = shutdown {
-            if flag.load(Ordering::Relaxed) {
-                completed = false;
-                break 'batches;
-            }
+    for chunk in requests.chunks(PUBLISH_EVERY) {
+        if shutdown.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
+            completed = false;
+            break;
         }
-        // Modification pre-pass, exactly as in the serial batched loop:
-        // the last-transfer chain is per document and every document
-        // lives in exactly one shard, so per-shard verdicts equal the
-        // global serial ones.
-        for (k, &gi) in batch.iter().enumerate() {
-            let gi = gi as usize;
-            let slot = local[slots[gi] as usize] as usize;
-            let transfer = sizes[gi];
-            let prev = last_transfer[slot];
-            last_transfer[slot] = transfer;
-            modified_flags[k] =
-                prev != NO_TRANSFER && config.modification_rule.is_modification(prev, transfer);
-        }
-
-        let mut batch_hits = 0u64;
-        let mut batch_bytes_hit = 0u64;
-        let mut batch_bytes = 0u64;
-        for (k, &gi) in batch.iter().enumerate() {
+        let mut chunk_hits = 0u64;
+        let mut chunk_bytes_hit = 0u64;
+        let mut chunk_bytes = 0u64;
+        for &gi in chunk {
             let gi = gi as usize;
             let global_slot = slots[gi];
-            let doc = DenseTrace::slot_doc(local[global_slot as usize]);
-            let size = ByteSize::new(sizes[gi]);
+            let slot = local[global_slot as usize];
+            let doc = DenseTrace::slot_doc(slot);
+            let transfer = sizes[gi];
+            let size = ByteSize::new(transfer);
             let doc_type = DocumentType::from_index(types[gi] as usize);
-            let modified = modified_flags[k];
+
+            // The last-transfer chain is per document and every document
+            // lives in exactly one shard, so per-shard verdicts equal the
+            // global serial ones.
+            let prev = last_transfer[slot as usize];
+            last_transfer[slot as usize] = transfer;
+            let modified =
+                prev != NO_TRANSFER && config.modification_rule.is_modification(prev, transfer);
 
             let hit = if modified {
                 cache.invalidate(doc);
@@ -541,10 +532,10 @@ fn replay_shard<O: Observer>(
                 notify_insert(observer, event, disposition, &evicted);
             }
 
-            batch_bytes += size.as_u64();
+            chunk_bytes += size.as_u64();
             if hit {
-                batch_hits += 1;
-                batch_bytes_hit += size.as_u64();
+                chunk_hits += 1;
+                chunk_bytes_hit += size.as_u64();
             }
             if gi >= warmup_end {
                 let stats = &mut by_type[doc_type];
@@ -555,18 +546,18 @@ fn replay_shard<O: Observer>(
             }
         }
 
-        summary.requests += batch.len() as u64;
-        summary.hits += batch_hits;
-        summary.bytes_requested += batch_bytes;
-        summary.bytes_hit += batch_bytes_hit;
+        summary.requests += chunk.len() as u64;
+        summary.hits += chunk_hits;
+        summary.bytes_requested += chunk_bytes;
+        summary.bytes_hit += chunk_bytes_hit;
         engine.counters(shard).add_bulk(
-            batch.len() as u64,
-            batch_hits,
-            batch_bytes,
-            batch_bytes_hit,
+            chunk.len() as u64,
+            chunk_hits,
+            chunk_bytes,
+            chunk_bytes_hit,
         );
         if let Some(t) = throttle.as_deref_mut() {
-            t.pace(batch.len() as u64, shutdown);
+            t.pace(chunk.len() as u64, shutdown);
         }
     }
     observer.on_run_end();
@@ -575,7 +566,7 @@ fn replay_shard<O: Observer>(
 }
 
 /// Sleeps as needed to hold one client's target request rate. Checked
-/// once per batch; never sleeps once the shutdown flag is up.
+/// once per [`PUBLISH_EVERY`] requests; never sleeps once the shutdown flag is up.
 #[derive(Debug)]
 struct Throttle {
     per_sec: f64,
@@ -621,7 +612,7 @@ pub struct ConcurrentPassSummary {
 /// The continuous replay driver against the sharded engine — the
 /// `webcache serve --shards N --clients M` engine. Mirrors
 /// [`ReplayLoop`](crate::live::ReplayLoop): one fresh engine per pass,
-/// shutdown honored between passes *and* at batch boundaries within a
+/// shutdown honored between passes *and* every 128 requests within a
 /// pass (an interrupted pass is discarded, not reported).
 #[derive(Debug, Clone)]
 pub struct ShardedReplayLoop {
@@ -878,7 +869,7 @@ mod tests {
         let (report, _) = ConcurrentSimulator::new(PolicyKind::Lru, config(10_000))
             .run_sharded_controlled(&dense, &sharded, 2, None, Some(&flag), |_| NoopObserver);
         assert!(!report.completed);
-        assert_eq!(report.requests, 0, "flag was up before the first batch");
+        assert_eq!(report.requests, 0, "flag was up before the first request");
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //! (passes, requests, replaying, last pass throughput) that an HTTP
 //! `/healthz` handler can read from another thread without locking.
 //!
-//! An optional request-rate throttle turns the batch replay into a
+//! An optional request-rate throttle turns the flat-out replay into a
 //! paced, wall-clock workload (useful for watching windowed metrics
 //! evolve on a live dashboard instead of finishing a pass in
 //! milliseconds). The pacer stops sleeping the moment the shutdown flag

@@ -269,13 +269,6 @@ impl SimulationReport {
 /// Sentinel in the dense last-transfer table: document never fetched.
 pub(crate) const NO_TRANSFER: u64 = u64::MAX;
 
-/// Default batch size of [`Simulator::run_dense_batched`].
-///
-/// Heap-maintenance deferral amortizes over the batch, while the
-/// modification pre-pass still fits comfortably in L1; 64–256 measure
-/// within noise of each other, so the midpoint is baked in.
-pub const DEFAULT_BATCH_SIZE: usize = 128;
-
 /// Drives a [`Cache`] over a [`Trace`] and accounts per-type hit rates.
 ///
 /// See the [crate docs](crate) for the methodology. [`Simulator::run`]
@@ -416,6 +409,8 @@ impl Simulator {
         let slots = trace.docs();
         let sizes = trace.sizes();
         let types = trace.type_indices();
+        // Reused across the run: replaces a Vec allocation per insert.
+        let mut evicted: Vec<webcache_core::Eviction> = Vec::new();
         for index in 0..trace.len() {
             let slot = slots[index];
             let doc = DenseTrace::slot_doc(slot);
@@ -448,8 +443,8 @@ impl Simulator {
             };
             observer.on_access(event, access_kind(hit, modified));
             if !hit {
-                let outcome = cache.insert(doc, doc_type, size);
-                notify_insert(observer, event, outcome.disposition, &outcome.evicted);
+                let disposition = cache.insert_into(doc, doc_type, size, &mut evicted);
+                notify_insert(observer, event, disposition, &evicted);
             }
 
             if index >= warmup_end {
@@ -463,140 +458,6 @@ impl Simulator {
                     occupancy.push(OccupancySample::capture(index as u64, &cache));
                 }
             }
-        }
-        observer.on_run_end();
-
-        SimulationReport {
-            policy: cache.policy_label(),
-            config: self.config,
-            by_type,
-            occupancy,
-        }
-    }
-
-    /// Replays a pre-built dense trace in fixed-size batches with
-    /// deferred heap maintenance — the fast path for heap-backed
-    /// policies (GDS/GDSF/GD\*/LFU/LFU-DA/SIZE).
-    ///
-    /// Observable behavior is bit-identical to [`Simulator::run_dense`]
-    /// (pinned by the `batched_vs_serial` proptests): batching only
-    /// changes *when* heap sifts physically happen, never which victims
-    /// are chosen. Uses [`DEFAULT_BATCH_SIZE`].
-    pub fn run_dense_batched(self, trace: &DenseTrace) -> SimulationReport {
-        self.run_dense_batched_sized(trace, DEFAULT_BATCH_SIZE, &mut NoopObserver)
-    }
-
-    /// Like [`Simulator::run_dense_batched`], but streams every event
-    /// into `observer`.
-    pub fn run_dense_batched_observed<O: Observer>(
-        self,
-        trace: &DenseTrace,
-        observer: &mut O,
-    ) -> SimulationReport {
-        self.run_dense_batched_sized(trace, DEFAULT_BATCH_SIZE, observer)
-    }
-
-    /// [`Simulator::run_dense_batched`] with an explicit batch size
-    /// (clamped to ≥ 1). Exposed so the differential tests can probe
-    /// batch-boundary edge cases; sweeps should use the default.
-    pub fn run_dense_batched_sized<O: Observer>(
-        mut self,
-        trace: &DenseTrace,
-        batch_size: usize,
-        observer: &mut O,
-    ) -> SimulationReport {
-        let batch_size = batch_size.max(1);
-        let (warmup_end, sample_every) = self.schedule(trace.len());
-        observer.on_run_start(RunMeta {
-            total_requests: trace.len(),
-            warmup_end,
-            capacity: self.config.capacity,
-        });
-        // The policy must be switched before it moves into the cache;
-        // deferral stays on for the whole replay — pops flush lazily, so
-        // batch boundaries need no synchronization point.
-        self.policy.set_batched(true);
-        let mut cache = Cache::with_dense_slots(
-            self.config.capacity,
-            self.policy,
-            self.config.admission_rule,
-            trace.distinct_documents(),
-        );
-        if let Some(reasons) = self.admit_reasons.take() {
-            cache.set_admit_reasons(reasons);
-        }
-        let mut last_transfer: Vec<u64> = vec![NO_TRANSFER; trace.distinct_documents()];
-
-        let mut by_type: TypeMap<HitStats> = TypeMap::default();
-        let mut occupancy = OccupancySeries::new();
-
-        let slots = trace.docs();
-        let sizes = trace.sizes();
-        let types = trace.type_indices();
-        // Scratch reused across batches: per-request modification verdicts
-        // and the eviction buffer (replaces a Vec allocation per insert).
-        let mut modified_flags = vec![false; batch_size.min(trace.len().max(1))];
-        let mut evicted: Vec<webcache_core::Eviction> = Vec::new();
-
-        let mut start = 0usize;
-        while start < trace.len() {
-            let end = (start + batch_size).min(trace.len());
-
-            // Pre-pass: resolve every request's modification verdict for
-            // the batch in one straight-line sweep over the SoA arrays.
-            // The last-transfer chain is sequential within the batch, so
-            // the verdicts equal the serial loop's exactly.
-            for index in start..end {
-                let slot = slots[index] as usize;
-                let transfer = sizes[index];
-                let prev = last_transfer[slot];
-                last_transfer[slot] = transfer;
-                modified_flags[index - start] = prev != NO_TRANSFER
-                    && self
-                        .config
-                        .modification_rule
-                        .is_modification(prev, transfer);
-            }
-
-            for index in start..end {
-                let slot = slots[index];
-                let doc = DenseTrace::slot_doc(slot);
-                let size = ByteSize::new(sizes[index]);
-                let doc_type = DocumentType::from_index(types[index] as usize);
-                let modified = modified_flags[index - start];
-
-                let hit = if modified {
-                    cache.invalidate(doc);
-                    false
-                } else {
-                    cache.access(doc)
-                };
-                let event = AccessEvent {
-                    index: index as u64,
-                    doc,
-                    doc_type,
-                    size,
-                    warmup: index < warmup_end,
-                };
-                observer.on_access(event, access_kind(hit, modified));
-                if !hit {
-                    let disposition = cache.insert_into(doc, doc_type, size, &mut evicted);
-                    notify_insert(observer, event, disposition, &evicted);
-                }
-
-                if index >= warmup_end {
-                    let stats = &mut by_type[doc_type];
-                    stats.record(size, hit);
-                    if modified {
-                        stats.modification_misses += 1;
-                    }
-                    let measured_index = index - warmup_end;
-                    if measured_index % sample_every == sample_every - 1 {
-                        occupancy.push(OccupancySample::capture(index as u64, &cache));
-                    }
-                }
-            }
-            start = end;
         }
         observer.on_run_end();
 

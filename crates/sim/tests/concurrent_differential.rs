@@ -51,7 +51,7 @@ fn arb_spec() -> impl Strategy<Value = PolicySpec> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Law 1: the `N = 1` sharded engine reproduces the serial batched
+    /// Law 1: the `N = 1` sharded engine reproduces the serial dense
     /// simulator counter-for-counter, for every policy.
     #[test]
     fn single_shard_engine_matches_serial_cache(
@@ -63,7 +63,7 @@ proptest! {
         let dense = DenseTrace::build(&trace);
         let config = SimulationConfig::new(ByteSize::new(capacity))
             .with_warmup_fraction(warmup);
-        let serial = Simulator::from_spec(spec, config).run_dense_batched(&dense);
+        let serial = Simulator::from_spec(spec, config).run_dense(&dense);
         let concurrent = ConcurrentSimulator::new(spec, config)
             .run(&dense, 1, 1)
             .expect("1 is a valid shard count");
@@ -129,7 +129,7 @@ fn single_shard_windowed_series_matches_serial() {
         PolicyKind::GdStar(webcache_core::CostModel::Packet).build(),
         config,
     )
-    .run_dense_batched_observed(&dense, &mut serial_obs);
+    .run_dense_observed(&dense, &mut serial_obs);
 
     let sharded = ShardedTrace::build(&dense, 1).unwrap();
     let (report, observers) =
