@@ -1,12 +1,12 @@
-//! Hot-path throughput harness: hashed vs dense replay, per policy, with
-//! a noise-immune paired regression gate.
+//! Hot-path throughput harness: dense replay with and without observers
+//! and sharded replay, per policy, with a noise-immune paired regression
+//! gate.
 //!
 //! Replays the scaled DFN workload through the simulator paths and
 //! reports requests per second, writing the results to a JSON file
 //! (`BENCH_hotpath.json` by default) so regressions are visible in
 //! review diffs. Columns:
 //!
-//! * `hashed`   — the sparse, hash-per-request replay.
 //! * `dense`    — the request-at-a-time dense replay (`run_dense`; its
 //!   no-op observer IS the `dense` column).
 //! * `instr-off` — dense replay through
@@ -101,11 +101,6 @@ use webcache_sim::{
 };
 use webcache_trace::{ByteSize, DenseTrace, Trace};
 
-/// Seed-commit GD*(P) throughput (requests/s) on this harness's default
-/// workload, recorded before the hash-free hot path landed. The issue's
-/// acceptance bar was 2x this number on the dense path.
-const SEED_BASELINE_GDSTAR_PACKET_RPS: u64 = 1_968_196;
-
 /// Anchor spin steps per trace request: enough integer work that the
 /// anchor is measured over milliseconds, small enough to keep the
 /// harness fast.
@@ -124,7 +119,6 @@ const CONC_CLIENTS: [usize; 4] = [1, 2, 4, 8];
 
 struct Cell {
     label: String,
-    hashed_rps: f64,
     dense_rps: f64,
     instr_off_rps: f64,
     windowed_rps: f64,
@@ -229,9 +223,8 @@ fn main() -> ExitCode {
 
     let mut cells = Vec::new();
     println!(
-        "{:<10} {:>14} {:>14} {:>16} {:>15} {:>15} {:>14} {:>9} {:>9}",
+        "{:<10} {:>14} {:>16} {:>15} {:>15} {:>14} {:>9} {:>9}",
         "policy",
-        "hashed req/s",
         "dense req/s",
         "instr-off req/s",
         "windowed req/s",
@@ -243,9 +236,8 @@ fn main() -> ExitCode {
     for kind in PolicyKind::ALL {
         let cell = measure(kind, &trace, &dense, &sharded, capacity, iters);
         println!(
-            "{:<10} {:>14.0} {:>14.0} {:>16.0} {:>15.0} {:>15.0} {:>14.0} {:>8.2}x {:>8.2}x",
+            "{:<10} {:>14.0} {:>16.0} {:>15.0} {:>15.0} {:>14.0} {:>8.2}x {:>8.2}x",
             cell.label,
-            cell.hashed_rps,
             cell.dense_rps,
             cell.instr_off_rps,
             cell.windowed_rps,
@@ -274,12 +266,6 @@ fn main() -> ExitCode {
     }
 
     if let Some(gdsp) = cells.iter().find(|c| c.label == "GD*(P)") {
-        eprintln!(
-            "# GD*(P): dense {:.0} req/s = {:.1}x the seed hashed baseline \
-             ({SEED_BASELINE_GDSTAR_PACKET_RPS} req/s)",
-            gdsp.dense_rps,
-            gdsp.dense_rps / SEED_BASELINE_GDSTAR_PACKET_RPS as f64,
-        );
         eprintln!(
             "# GD*(P): 8-client/{CONC_SHARDS}-shard {:.0} req/s = {:.2}x single-thread \
              dense (paired); acceptance bar 4x applies on hosts with >= 8 cores, this \
@@ -398,7 +384,6 @@ fn measure(
     // Fifty windows over the measured region, like a plotting client.
     let window = ((trace.len() as u64) / 50).max(1);
     let anchor_steps = (trace.len() as u64).max(1) * ANCHOR_STEPS_PER_REQUEST;
-    let mut best_hashed = f64::INFINITY;
     let mut best_dense = f64::INFINITY;
     let mut best_instr_off = f64::INFINITY;
     let mut best_windowed = f64::INFINITY;
@@ -452,10 +437,6 @@ fn measure(
             }
         }
 
-        let start = Instant::now();
-        std::hint::black_box(Simulator::new(kind.build(), config).run_hashed(trace));
-        best_hashed = best_hashed.min(start.elapsed().as_secs_f64());
-
         // The unit-sink instrumented build: same dense replay through the
         // explicit generic construction path. Within noise of `dense` or
         // the instrumentation is not free.
@@ -508,7 +489,6 @@ fn measure(
     }
     Cell {
         label: kind.label(),
-        hashed_rps: requests / best_hashed,
         dense_rps: requests / best_dense,
         instr_off_rps: requests / best_instr_off,
         windowed_rps: requests / best_windowed,
@@ -671,25 +651,20 @@ fn render_json(
     // host's core count makes the conc8 numbers interpretable.
     let _ = writeln!(s, "  \"cores\": {cores},");
     let _ = writeln!(s, "  \"conc_shards\": {CONC_SHARDS},");
-    let _ = writeln!(
-        s,
-        "  \"seed_baseline_rps_gdstar_packet\": {SEED_BASELINE_GDSTAR_PACKET_RPS},"
-    );
     s.push_str("  \"policies\": [\n");
     for (i, cell) in cells.iter().enumerate() {
         let _ = writeln!(
             s,
-            "    {{\"policy\": \"{}\", \"hashed_rps\": {:.0}, \"dense_rps\": {:.0}, \
+            "    {{\"policy\": \"{}\", \"dense_rps\": {:.0}, \
              \"instr_off_rps\": {:.0}, \"windowed_rps\": {:.0}, \
              \"recorder_rps\": {:.0}, \"recorder_overhead\": {:.3}, \
              \"recorder_norm\": {:.4}, \
              \"latency_obs_rps\": {:.0}, \"latency_obs_overhead\": {:.3}, \
-             \"speedup\": {:.3}, \"dense_norm\": {:.4}, \
+             \"dense_norm\": {:.4}, \
              \"conc1_rps\": {:.0}, \"conc2_rps\": {:.0}, \
              \"conc4_rps\": {:.0}, \"conc8_rps\": {:.0}, \"conc8_speedup\": {:.3}, \
              \"conc8_norm\": {:.4}}}{}",
             cell.label,
-            cell.hashed_rps,
             cell.dense_rps,
             cell.instr_off_rps,
             cell.windowed_rps,
@@ -698,7 +673,6 @@ fn render_json(
             cell.recorder_norm,
             cell.latency_obs_rps,
             cell.latency_obs_overhead,
-            cell.dense_rps / cell.hashed_rps,
             cell.dense_norm,
             cell.conc_rps[0],
             cell.conc_rps[1],
@@ -723,7 +697,7 @@ fn usage(error: &str) -> ExitCode {
          \x20       [--check-regress] [--tolerance FRAC]\n\
          \n\
          Times every replacement policy over the scaled DFN workload through\n\
-         the hashed and dense simulator paths (plus the unit-sink\n\
+         the dense simulator path (plus the unit-sink\n\
          instrumented build, the dense path with a windowed-metrics\n\
          observer attached, the flight-recorder-ON path: instrumented\n\
          sink + decision ring, and 8-shard concurrent replay) and writes the\n\

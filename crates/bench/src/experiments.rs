@@ -5,7 +5,7 @@
 //! the experiment index.
 
 use webcache_core::policy::{BetaMode, GdStar};
-use webcache_core::{CostModel, PolicyKind};
+use webcache_core::{AdmissionSpec, CostModel, PolicyKind, PolicySpec};
 use webcache_sim::report::{figure, figure_panel, Metric};
 use webcache_sim::{
     CacheSizeSweep, ModificationRule, SimulationConfig, SimulationReport, Simulator,
@@ -254,8 +254,6 @@ pub fn ablation_modification(scale: f64, seed: u64) -> String {
 /// (LRU-THOLD) and second-hit filters of the proxy literature, compared
 /// against plain LRU and GD\*(1) on the DFN workload.
 pub fn ablation_admission(scale: f64, seed: u64) -> String {
-    use webcache_core::AdmissionRule;
-
     let trace = dfn_trace(scale, seed);
     let capacity = ByteSize::new((trace.overall_size().as_f64() * 0.05).round() as u64);
     let mut t = Table::new(vec![
@@ -268,12 +266,9 @@ pub fn ablation_admission(scale: f64, seed: u64) -> String {
     .with_title(format!(
         "Ablation A3. Admission control (DFN, cache {capacity})"
     ));
-    let mut run = |label: &str, kind: PolicyKind, rule: AdmissionRule| {
-        let config = SimulationConfig::builder()
-            .capacity(capacity)
-            .admission_rule(rule)
-            .build();
-        let report = Simulator::new(kind.build(), config).run(&trace);
+    let mut run = |label: &str, kind: PolicyKind, admission: AdmissionSpec| {
+        let config = SimulationConfig::builder().capacity(capacity).build();
+        let report = Simulator::from_spec(PolicySpec::new(admission, kind), config).run(&trace);
         let overall = report.overall();
         t.push_row(vec![
             label.to_owned(),
@@ -286,21 +281,21 @@ pub fn ablation_admission(scale: f64, seed: u64) -> String {
             ),
         ]);
     };
-    run("LRU", PolicyKind::Lru, AdmissionRule::All);
+    run("LRU", PolicyKind::Lru, AdmissionSpec::All);
     run(
         "LRU + THOLD 64KiB",
         PolicyKind::Lru,
-        AdmissionRule::MaxSize(ByteSize::from_kib(64)),
+        AdmissionSpec::MaxSize(ByteSize::from_kib(64)),
     );
     run(
         "LRU + second-hit",
         PolicyKind::Lru,
-        AdmissionRule::SecondHit(1 << 16),
+        AdmissionSpec::SecondHit(1 << 16),
     );
     run(
         "GD*(1)",
         PolicyKind::GdStar(CostModel::Constant),
-        AdmissionRule::All,
+        AdmissionSpec::All,
     );
     t.render()
 }

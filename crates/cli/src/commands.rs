@@ -454,9 +454,7 @@ pub fn profile(args: &Args) -> Result<String, CliError> {
             main.span(label.clone(), |_| {
                 let probe = PolicyProbe::register(&registry, &label);
                 let mut obs = ProfileObserver::register(&registry, &label);
-                let mut config = config;
-                config.admission_rule = policy.admission_or(config.admission_rule);
-                Simulator::new(policy.replacement.build_instrumented(probe), config)
+                Simulator::from_spec_instrumented(policy, config, probe)
                     .run_observed(&trace, &mut obs);
             });
         }

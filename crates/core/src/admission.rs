@@ -51,10 +51,6 @@ pub enum AdmissionSpec {
     TinyLfu,
 }
 
-/// Deprecated alias for [`AdmissionSpec`] — the pre-redesign name. New
-/// code should say `AdmissionSpec`.
-pub type AdmissionRule = AdmissionSpec;
-
 impl AdmissionSpec {
     /// A short label for composed policy names (`"TinyLFU"` in
     /// `"TinyLFU+SLRU"`), or `None` for [`AdmissionSpec::All`], which is
@@ -214,8 +210,10 @@ impl AdmissionPolicy for SecondHitFilter {
             }
         }
         // The FIFO itself can accumulate stale entries faster than the
-        // window bound drains them; compact it amortized-O(1).
-        if self.order.len() >= 2 * self.window + 2 {
+        // window bound drains them; compact it amortized-O(1). Saturating:
+        // a window near `usize::MAX` (a parsed `2hit:N` spec) never
+        // compacts rather than wrapping to compact on every admit.
+        if self.order.len() >= self.window.saturating_mul(2).saturating_add(2) {
             let pending = &self.pending;
             self.order
                 .retain(|&(slot, stamp)| pending.get(&slot) == Some(&stamp));
@@ -320,7 +318,7 @@ impl AdmissionController {
     }
 
     /// The configured spec.
-    pub fn rule(&self) -> AdmissionSpec {
+    pub fn spec(&self) -> AdmissionSpec {
         self.spec
     }
 
@@ -373,14 +371,14 @@ mod tests {
 
     #[test]
     fn admit_all() {
-        let mut c = AdmissionController::new(AdmissionRule::All);
+        let mut c = AdmissionController::new(AdmissionSpec::All);
         assert!(c.admit(doc(1), ByteSize::from_gib(10)));
         assert_eq!(c.remembered(), 0);
     }
 
     #[test]
     fn max_size_threshold() {
-        let mut c = AdmissionController::new(AdmissionRule::MaxSize(ByteSize::new(1000)));
+        let mut c = AdmissionController::new(AdmissionSpec::MaxSize(ByteSize::new(1000)));
         assert!(
             c.admit(doc(1), ByteSize::new(1000)),
             "boundary is inclusive"
@@ -390,7 +388,7 @@ mod tests {
 
     #[test]
     fn second_hit_admits_on_refetch() {
-        let mut c = AdmissionController::new(AdmissionRule::SecondHit(100));
+        let mut c = AdmissionController::new(AdmissionSpec::SecondHit(100));
         assert!(!c.admit(doc(1), ByteSize::new(10)), "first fetch rejected");
         assert!(c.admit(doc(1), ByteSize::new(10)), "second fetch admitted");
         // After admission the memory entry is consumed: a later fetch
@@ -400,7 +398,7 @@ mod tests {
 
     #[test]
     fn second_hit_window_forgets_old_documents() {
-        let mut c = AdmissionController::new(AdmissionRule::SecondHit(2));
+        let mut c = AdmissionController::new(AdmissionSpec::SecondHit(2));
         c.admit(doc(1), ByteSize::new(1));
         c.admit(doc(2), ByteSize::new(1));
         c.admit(doc(3), ByteSize::new(1)); // evicts doc 1 from the window
@@ -410,7 +408,7 @@ mod tests {
 
     #[test]
     fn second_hit_skips_stale_order_entries() {
-        let mut c = AdmissionController::new(AdmissionRule::SecondHit(2));
+        let mut c = AdmissionController::new(AdmissionSpec::SecondHit(2));
         c.admit(doc(1), ByteSize::new(1));
         assert!(c.admit(doc(1), ByteSize::new(1))); // consume doc 1
                                                     // Window has a stale `order` entry for doc 1; filling it must
@@ -427,7 +425,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "window must be positive")]
     fn zero_window_rejected() {
-        let _ = AdmissionController::new(AdmissionRule::SecondHit(0));
+        let _ = AdmissionController::new(AdmissionSpec::SecondHit(0));
     }
 
     /// Regression for the pre-redesign slow leak: the second-hit memory
@@ -436,7 +434,7 @@ mod tests {
     #[test]
     fn second_hit_memory_stays_bounded_under_growing_catalog() {
         let window = 64;
-        let mut c = AdmissionController::new(AdmissionRule::SecondHit(window));
+        let mut c = AdmissionController::new(AdmissionSpec::SecondHit(window));
         let mut filter = SecondHitFilter::new(window);
         for i in 0..1_000_000u64 {
             c.admit(doc(i), ByteSize::new(1));

@@ -16,9 +16,8 @@
 //! too; no hash is computed anywhere on the hit path. Two interning modes
 //! exist:
 //!
-//! * [`Cache::new`] / [`Cache::with_admission`] intern arbitrary sparse
-//!   ids through a hash map (one fx-hash lookup per request, at the
-//!   boundary only).
+//! * [`Cache::new`] interns arbitrary sparse ids through a hash map (one
+//!   fx-hash lookup per request, at the boundary only).
 //! * [`Cache::with_dense_slots`] skips even that: the caller promises ids
 //!   are already dense slots `0..n` (a
 //!   [`DenseTrace`](webcache_trace::DenseTrace) replay), and the slab and
@@ -29,9 +28,8 @@ use serde::{Deserialize, Serialize};
 use webcache_trace::fxhash::FxHashMap;
 use webcache_trace::{ByteSize, DocId, DocumentType, TypeMap};
 
-use crate::admission::{AdmissionController, AdmissionRule};
+use crate::admission::{AdmissionController, AdmissionSpec};
 use crate::policy::ReplacementPolicy;
-use crate::spec::PolicySpec;
 
 /// Per-type occupancy counters.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -124,10 +122,10 @@ impl SlotIndex {
 /// policy.
 ///
 /// ```
-/// use webcache_core::{Cache, PolicyKind};
+/// use webcache_core::{AdmissionSpec, Cache, PolicyKind};
 /// use webcache_trace::{ByteSize, DocId, DocumentType};
 ///
-/// let mut cache = Cache::new(ByteSize::new(100), PolicyKind::Lru.build());
+/// let mut cache = Cache::new(ByteSize::new(100), PolicyKind::Lru.build(), AdmissionSpec::All);
 /// cache.insert(DocId::new(1), DocumentType::Image, ByteSize::new(60));
 /// let outcome = cache.insert(DocId::new(2), DocumentType::Html, ByteSize::new(60));
 /// let victims: Vec<DocId> = outcome.evicted.iter().map(|e| e.doc).collect();
@@ -158,70 +156,25 @@ pub struct Cache {
 }
 
 impl Cache {
-    /// Creates an empty cache.
+    /// Creates an empty cache interning arbitrary sparse document ids,
+    /// with `admission` in front of the store (see [`crate::admission`];
+    /// [`AdmissionSpec::All`] is the paper's admit-everything cache).
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
-    pub fn new(capacity: ByteSize, policy: Box<dyn ReplacementPolicy>) -> Self {
-        Cache::with_admission(capacity, policy, AdmissionRule::All)
-    }
-
-    /// Creates an empty cache with an admission rule in front of the
-    /// store (see [`crate::admission`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_admission(
+    pub fn new(
         capacity: ByteSize,
         policy: Box<dyn ReplacementPolicy>,
-        rule: AdmissionRule,
+        admission: AdmissionSpec,
     ) -> Self {
-        assert!(!capacity.is_zero(), "cache capacity must be positive");
-        let admission = AdmissionController::new(rule);
-        let record_hits = admission.wants_record();
-        Cache {
+        Cache::with_slots(
             capacity,
-            used: ByteSize::ZERO,
-            entries: Vec::new(),
-            live: 0,
-            slots: SlotIndex::Map(FxHashMap::default()),
-            occupancy: TypeMap::default(),
             policy,
             admission,
-            record_hits,
-            rejected_by_admission: 0,
-            admit_reasons: None,
-        }
-    }
-
-    /// Creates an empty cache from a composed [`PolicySpec`] — the
-    /// redesigned construction entry point (`"tinylfu+slru".parse()`).
-    /// Accepts a bare [`PolicyKind`](crate::PolicyKind) too, which means
-    /// admit-everything.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_spec(capacity: ByteSize, spec: impl Into<PolicySpec>) -> Self {
-        let spec = spec.into();
-        Cache::with_admission(capacity, spec.build(), spec.admission)
-    }
-
-    /// Dense-slot counterpart of [`Cache::with_spec`]; see
-    /// [`Cache::with_dense_slots`] for the dense-id contract.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn with_dense_spec(
-        capacity: ByteSize,
-        spec: impl Into<PolicySpec>,
-        distinct_documents: usize,
-    ) -> Self {
-        let spec = spec.into();
-        Cache::with_dense_slots(capacity, spec.build(), spec.admission, distinct_documents)
+            SlotIndex::Map(FxHashMap::default()),
+            0,
+        )
     }
 
     /// Creates an empty cache whose document ids are promised to be dense
@@ -229,7 +182,7 @@ impl Cache {
     /// [`DenseTrace`](webcache_trace::DenseTrace) replay). Skips the
     /// id-interning map and pre-sizes the slab and all policy state.
     ///
-    /// Behaviorally identical to [`Cache::with_admission`] fed ids in
+    /// Behaviorally identical to [`Cache::new`] fed ids in
     /// first-insert-attempt order; only the data layout differs.
     ///
     /// # Panics
@@ -238,20 +191,37 @@ impl Cache {
     pub fn with_dense_slots(
         capacity: ByteSize,
         policy: Box<dyn ReplacementPolicy>,
-        rule: AdmissionRule,
+        admission: AdmissionSpec,
+        distinct_documents: usize,
+    ) -> Self {
+        Cache::with_slots(
+            capacity,
+            policy,
+            admission,
+            SlotIndex::Identity,
+            distinct_documents,
+        )
+    }
+
+    /// The construction both public constructors share; only the slot
+    /// interning and the pre-sizing differ between them.
+    fn with_slots(
+        capacity: ByteSize,
+        mut policy: Box<dyn ReplacementPolicy>,
+        admission: AdmissionSpec,
+        slots: SlotIndex,
         distinct_documents: usize,
     ) -> Self {
         assert!(!capacity.is_zero(), "cache capacity must be positive");
-        let mut policy = policy;
         policy.reserve_slots(distinct_documents);
-        let admission = AdmissionController::new(rule);
+        let admission = AdmissionController::new(admission);
         let record_hits = admission.wants_record();
         Cache {
             capacity,
             used: ByteSize::ZERO,
             entries: vec![None; distinct_documents],
             live: 0,
-            slots: SlotIndex::Identity,
+            slots,
             occupancy: TypeMap::default(),
             policy,
             admission,
@@ -270,7 +240,7 @@ impl Cache {
     /// everything pushes nothing: popping the empty channel yields the
     /// same none-kind reason a push would have carried.
     pub fn set_admit_reasons(&mut self, reasons: webcache_obs::ReasonChannel) {
-        if self.admission.rule() != AdmissionRule::All {
+        if self.admission.spec() != AdmissionSpec::All {
             self.admit_reasons = Some(reasons);
         }
     }
@@ -314,9 +284,10 @@ impl Cache {
 
     /// The policy's display label: the replacement label (`"GD*(P)"`),
     /// prefixed with the admission label when a filter is composed in
-    /// front (`"TinyLFU+SLRU"`) — matching [`PolicySpec::label`].
+    /// front (`"TinyLFU+SLRU"`) — matching
+    /// [`PolicySpec::label`](crate::PolicySpec::label).
     pub fn policy_label(&self) -> String {
-        match self.admission.rule().label_prefix() {
+        match self.admission.spec().label_prefix() {
             Some(prefix) => format!("{prefix}+{}", self.policy.label()),
             None => self.policy.label(),
         }
@@ -510,7 +481,22 @@ mod tests {
     }
 
     fn lru_cache(capacity: u64) -> Cache {
-        Cache::new(ByteSize::new(capacity), PolicyKind::Lru.instantiate())
+        Cache::new(
+            ByteSize::new(capacity),
+            PolicyKind::Lru.build(),
+            AdmissionSpec::All,
+        )
+    }
+
+    /// A sparse-id cache built from a composed spec such as
+    /// `"tinylfu+slru"`.
+    fn spec_cache(capacity: u64, spec: &str) -> Cache {
+        let spec: crate::spec::PolicySpec = spec.parse().unwrap();
+        Cache::new(
+            ByteSize::new(capacity),
+            spec.replacement.build(),
+            spec.admission,
+        )
     }
 
     #[test]
@@ -600,11 +586,10 @@ mod tests {
 
     #[test]
     fn admission_max_size_rejects_large_documents() {
-        use crate::admission::AdmissionRule;
-        let mut c = Cache::with_admission(
+        let mut c = Cache::new(
             ByteSize::new(10_000),
-            PolicyKind::Lru.instantiate(),
-            AdmissionRule::MaxSize(ByteSize::new(100)),
+            PolicyKind::Lru.build(),
+            AdmissionSpec::MaxSize(ByteSize::new(100)),
         );
         assert!(c
             .insert(doc(1), DocumentType::Image, ByteSize::new(100))
@@ -620,11 +605,10 @@ mod tests {
 
     #[test]
     fn admission_second_hit_filters_one_timers() {
-        use crate::admission::AdmissionRule;
-        let mut c = Cache::with_admission(
+        let mut c = Cache::new(
             ByteSize::new(10_000),
-            PolicyKind::Lru.instantiate(),
-            AdmissionRule::SecondHit(64),
+            PolicyKind::Lru.build(),
+            AdmissionSpec::SecondHit(64),
         );
         assert!(!c
             .insert(doc(1), DocumentType::Html, ByteSize::new(10))
@@ -647,9 +631,7 @@ mod tests {
 
     #[test]
     fn spec_construction_composes_label_and_admission() {
-        use crate::spec::PolicySpec;
-        let spec: PolicySpec = "tinylfu+slru".parse().unwrap();
-        let mut c = Cache::with_spec(ByteSize::new(100), spec);
+        let mut c = spec_cache(100, "tinylfu+slru");
         assert_eq!(c.policy_label(), "TinyLFU+SLRU");
 
         // Below capacity, TinyLFU admits everything (and records).
@@ -673,10 +655,7 @@ mod tests {
 
     #[test]
     fn tinylfu_protects_hot_documents_via_recorded_hits() {
-        let mut c = Cache::with_spec(
-            ByteSize::new(100),
-            "tinylfu+lru".parse::<crate::spec::PolicySpec>().unwrap(),
-        );
+        let mut c = spec_cache(100, "tinylfu+lru");
         c.insert(doc(1), DocumentType::Html, ByteSize::new(100));
         for _ in 0..5 {
             assert!(c.access(doc(1)), "hits feed the sketch");
@@ -695,36 +674,10 @@ mod tests {
     }
 
     #[test]
-    fn bare_kind_spec_matches_plain_construction() {
-        let mut a = Cache::with_spec(ByteSize::new(500), PolicyKind::Lru);
-        let mut b = lru_cache(500);
-        assert_eq!(a.policy_label(), b.policy_label());
-        for i in 0..50 {
-            let d = doc(i % 7);
-            let ty = DocumentType::ALL[(i % 5) as usize];
-            if !a.access(d) {
-                let size = ByteSize::new((i % 13 + 1) * 20);
-                assert_eq!(
-                    a.insert(d, ty, size).evicted,
-                    {
-                        b.access(d);
-                        b.insert(d, ty, size).evicted
-                    },
-                    "spec and plain construction diverged at step {i}"
-                );
-            } else {
-                assert!(b.access(d));
-            }
-        }
-        a.debug_validate();
-        b.debug_validate();
-    }
-
-    #[test]
     fn capacity_invariant_under_random_workload_all_policies() {
         // Deterministic pseudo-random workload over every policy kind.
         for kind in PolicyKind::ALL {
-            let mut c = Cache::new(ByteSize::new(10_000), kind.instantiate());
+            let mut c = Cache::new(ByteSize::new(10_000), kind.build(), AdmissionSpec::All);
             let mut state = 987654321u64;
             let mut next = || {
                 state = state

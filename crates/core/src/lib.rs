@@ -30,10 +30,10 @@
 //! ## Example
 //!
 //! ```
-//! use webcache_core::{Cache, PolicyKind};
+//! use webcache_core::{AdmissionSpec, Cache, PolicyKind};
 //! use webcache_trace::{ByteSize, DocId, DocumentType};
 //!
-//! let mut cache = Cache::new(ByteSize::new(1000), PolicyKind::Lru.instantiate());
+//! let mut cache = Cache::new(ByteSize::new(1000), PolicyKind::Lru.build(), AdmissionSpec::All);
 //! let a = DocId::new(1);
 //! assert!(!cache.access(a));                       // cold miss
 //! cache.insert(a, DocumentType::Html, ByteSize::new(400));
@@ -55,8 +55,8 @@ pub mod sketch;
 pub mod spec;
 
 pub use admission::{
-    AdmissionController, AdmissionPolicy, AdmissionRule, AdmissionSpec, AdmitAll, MaxSizeFilter,
-    SecondHitFilter, TinyLfuFilter,
+    AdmissionController, AdmissionPolicy, AdmissionSpec, AdmitAll, MaxSizeFilter, SecondHitFilter,
+    TinyLfuFilter,
 };
 pub use cache::{Cache, Eviction, EvictionOutcome, InsertDisposition, Occupancy};
 pub use cost::CostModel;
@@ -67,4 +67,4 @@ pub use sharded::{
     ShardSnapshot, ShardedEngine,
 };
 pub use sketch::FrequencySketch;
-pub use spec::{ParseSpecError, PolicySpec, ReplacementKind, DEFAULT_SECOND_HIT_WINDOW};
+pub use spec::{ParseSpecError, PolicySpec, DEFAULT_SECOND_HIT_WINDOW};

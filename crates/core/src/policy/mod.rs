@@ -229,25 +229,6 @@ impl PolicyKind {
         PolicyKind::S3Fifo,
     ];
 
-    /// The 13 schemes that predate the modern cohort — the construction
-    /// surface the pre-`PolicySpec` entry points supported, pinned by
-    /// the spec-compatibility differential tests.
-    pub const LEGACY: [PolicyKind; 13] = [
-        PolicyKind::Lru,
-        PolicyKind::Fifo,
-        PolicyKind::Lfu,
-        PolicyKind::SizeBased,
-        PolicyKind::LfuDa,
-        PolicyKind::Slru,
-        PolicyKind::LruTwo,
-        PolicyKind::Gds(CostModel::Constant),
-        PolicyKind::Gds(CostModel::Packet),
-        PolicyKind::Gdsf(CostModel::Constant),
-        PolicyKind::Gdsf(CostModel::Packet),
-        PolicyKind::GdStar(CostModel::Constant),
-        PolicyKind::GdStar(CostModel::Packet),
-    ];
-
     /// Constructs a fresh policy instance of this kind.
     ///
     /// This is the only construction path the rest of the workspace uses;
@@ -286,14 +267,6 @@ impl PolicyKind {
             PolicyKind::Arc => Box::new(Arc::with_sink(sink)),
             PolicyKind::S3Fifo => Box::new(S3Fifo::with_sink(sink)),
         }
-    }
-
-    /// Constructs a fresh policy instance of this kind.
-    ///
-    /// Alias of [`PolicyKind::build`], kept for source compatibility with
-    /// pre-observability callers.
-    pub fn instantiate(self) -> Box<dyn ReplacementPolicy> {
-        self.build()
     }
 
     /// Parses a policy name as used on command lines and in config
@@ -382,7 +355,6 @@ mod tests {
     fn build_labels_agree_with_kind() {
         for kind in PolicyKind::ALL {
             assert_eq!(kind.build().label(), kind.label());
-            assert_eq!(kind.instantiate().label(), kind.label());
         }
     }
 
@@ -402,7 +374,7 @@ mod tests {
     #[test]
     fn conformance_lifecycle() {
         for kind in PolicyKind::ALL {
-            let mut p = kind.instantiate();
+            let mut p = kind.build();
             assert!(p.is_empty(), "{kind}");
             assert_eq!(p.evict(), None, "{kind}");
 

@@ -10,8 +10,9 @@
 //! Two access paths with different locking disciplines:
 //!
 //! * **Write path** (lookups, inserts, invalidations) — `Mutex`-striped:
-//!   a request locks exactly its document's shard, so disjoint shards
-//!   proceed fully in parallel.
+//!   a replay worker takes one shard's lock through
+//!   [`ShardedEngine::with_shard`] and replays that shard's requests
+//!   through it, so disjoint shards proceed fully in parallel.
 //! * **Read path** (hit-rate accounting) — lock-free: per-shard
 //!   [`ShardCounters`] are plain relaxed atomics, updated by the
 //!   writers and readable by a metrics scraper (`/metrics`, `/healthz`)
@@ -32,9 +33,8 @@ use std::sync::{Mutex, TryLockError};
 use std::time::Instant;
 
 use webcache_obs::{Counter, Histogram};
-use webcache_trace::{fxhash, ByteSize, DocId, DocumentType};
+use webcache_trace::{fxhash, ByteSize, DocId};
 
-use crate::admission::AdmissionRule;
 use crate::cache::Cache;
 use crate::spec::PolicySpec;
 
@@ -80,9 +80,8 @@ pub fn validate_shard_count(shards: usize) -> Result<(), ShardConfigError> {
 
 /// Lock-free per-shard accounting: requests, hits and byte volumes.
 ///
-/// Updated with relaxed atomics on the write path (either per request
-/// via [`ShardCounters::record`] or amortized per batch via
-/// [`ShardCounters::add_bulk`]); read at any time via
+/// Updated with relaxed atomics on the write path, amortized per batch
+/// via [`ShardCounters::add_bulk`]; read at any time via
 /// [`ShardCounters::snapshot`] with no locks. Individual counters are
 /// each internally consistent; a snapshot taken mid-batch may be a few
 /// requests stale, which is fine for rate gauges.
@@ -95,17 +94,6 @@ pub struct ShardCounters {
 }
 
 impl ShardCounters {
-    /// Accounts one request of `size` bytes that hit (or missed).
-    #[inline]
-    pub fn record(&self, size: ByteSize, hit: bool) {
-        self.add_bulk(
-            1,
-            hit as u64,
-            size.as_u64(),
-            if hit { size.as_u64() } else { 0 },
-        );
-    }
-
     /// Accounts a batch of requests in four adds (the amortized path).
     #[inline]
     pub fn add_bulk(&self, requests: u64, hits: u64, bytes_requested: u64, bytes_hit: u64) {
@@ -269,72 +257,26 @@ pub struct ShardedEngine {
 }
 
 impl ShardedEngine {
-    /// Builds an engine of `shards` shards splitting `capacity` evenly,
-    /// each with a fresh instance of `spec`'s replacement policy and its
-    /// own admission-filter state, using sparse-id document interning
-    /// (the general-purpose path; replay drivers with a dense trace
-    /// should use [`ShardedEngine::with_dense_shards`]).
+    /// Builds an engine of `per_shard_distinct.len()` shards splitting
+    /// `capacity` evenly, each with a fresh instance of `spec`'s
+    /// replacement policy and its own admission-filter state.
     ///
-    /// `spec` is anything convertible to a [`PolicySpec`] — a composed
-    /// spec or a bare [`PolicyKind`]. When the spec names an admission
-    /// filter it wins over the `admission` fallback (see
-    /// [`PolicySpec::admission_or`]).
-    ///
-    /// # Errors
-    ///
-    /// [`ShardConfigError`] when `shards` is zero or not a power of two.
-    pub fn new(
-        capacity: ByteSize,
-        spec: impl Into<PolicySpec>,
-        admission: AdmissionRule,
-        shards: usize,
-    ) -> Result<ShardedEngine, ShardConfigError> {
-        let spec = spec.into();
-        let admission = spec.admission_or(admission);
-        validate_shard_count(shards)?;
-        let shard_capacity = Self::split_capacity(capacity, shards);
-        let shards = (0..shards)
-            .map(|_| Shard {
-                cache: Mutex::new(Cache::with_admission(
-                    shard_capacity,
-                    spec.build(),
-                    admission,
-                )),
-                counters: ShardCounters::default(),
-            })
-            .collect();
-        Ok(ShardedEngine {
-            shards,
-            capacity,
-            shard_capacity,
-            policy_label: PolicySpec::new(admission, spec.replacement).label(),
-            lock_probes: None,
-        })
-    }
-
-    /// Builds an engine whose shards use dense slot addressing:
-    /// `per_shard_distinct[s]` is shard `s`'s distinct-document count and
-    /// its documents must be addressed as `DocId::new(local_slot)` with
-    /// shard-local slots `0..per_shard_distinct[s]` (a sharded trace
-    /// view computes the mapping).
+    /// Shards use dense slot addressing: `per_shard_distinct[s]` is
+    /// shard `s`'s distinct-document count and its documents must be
+    /// addressed as `DocId::new(local_slot)` with shard-local slots
+    /// `0..per_shard_distinct[s]` (a sharded trace view computes the
+    /// mapping).
     ///
     /// # Errors
     ///
     /// [`ShardConfigError`] when the shard count is zero or not a power
     /// of two.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `per_shard_distinct` is empty (its length is the
-    /// shard count).
     pub fn with_dense_shards(
         capacity: ByteSize,
         spec: impl Into<PolicySpec>,
-        admission: AdmissionRule,
         per_shard_distinct: &[usize],
     ) -> Result<ShardedEngine, ShardConfigError> {
         let spec = spec.into();
-        let admission = spec.admission_or(admission);
         validate_shard_count(per_shard_distinct.len())?;
         let shard_capacity = Self::split_capacity(capacity, per_shard_distinct.len());
         let shards = per_shard_distinct
@@ -342,8 +284,8 @@ impl ShardedEngine {
             .map(|&distinct| Shard {
                 cache: Mutex::new(Cache::with_dense_slots(
                     shard_capacity,
-                    spec.build(),
-                    admission,
+                    spec.replacement.build(),
+                    spec.admission,
                     distinct,
                 )),
                 counters: ShardCounters::default(),
@@ -353,13 +295,12 @@ impl ShardedEngine {
             shards,
             capacity,
             shard_capacity,
-            policy_label: PolicySpec::new(admission, spec.replacement).label(),
+            policy_label: spec.label(),
             lock_probes: None,
         })
     }
 
     /// Installs one [`ShardLockProbe`] per shard; every subsequent
-    /// [`ShardedEngine::request`], [`ShardedEngine::invalidate`] and
     /// [`ShardedEngine::with_shard`] times its lock wait and hold into
     /// the probe cells. Install before sharing the engine across
     /// threads (the setter takes `&mut self`).
@@ -401,13 +342,6 @@ impl ShardedEngine {
         }
         let bits = shard_count.trailing_zeros();
         (fxhash::hash_u64(doc.as_u64()) >> (64 - bits)) as usize
-    }
-
-    /// Which of this engine's shards owns `doc` (sparse-id addressing;
-    /// dense-slot drivers route through their trace view instead).
-    #[inline]
-    pub fn shard_of(&self, doc: DocId) -> usize {
-        Self::route(doc, self.shards.len())
     }
 
     /// Number of shards.
@@ -465,27 +399,6 @@ impl ShardedEngine {
         drop(cache);
         probe.hold_us.observe(held.elapsed().as_micros() as u64);
         result
-    }
-
-    /// One full request against the engine: look the document up in its
-    /// shard, fetch-and-insert on a miss, and account the outcome in the
-    /// shard's lock-free counters. Returns `true` on a hit.
-    pub fn request(&self, doc: DocId, doc_type: DocumentType, size: ByteSize) -> bool {
-        let index = self.shard_of(doc);
-        let hit = self.locked(index, |cache| {
-            let hit = cache.access(doc);
-            if !hit {
-                cache.insert(doc, doc_type, size);
-            }
-            hit
-        });
-        self.shards[index].counters.record(size, hit);
-        hit
-    }
-
-    /// Drops `doc`'s cached copy (origin-side modification), if any.
-    pub fn invalidate(&self, doc: DocId) -> bool {
-        self.locked(self.shard_of(doc), |cache| cache.invalidate(doc))
     }
 
     /// Runs `f` with shard `index`'s cache locked.
@@ -564,15 +477,37 @@ impl ShardedEngine {
 mod tests {
     use super::*;
     use crate::policy::PolicyKind;
+    use webcache_trace::DocumentType;
+
+    /// Distinct documents per shard of the test engines.
+    const SLOTS: usize = 128;
 
     fn engine(shards: usize) -> ShardedEngine {
-        ShardedEngine::new(
+        ShardedEngine::with_dense_shards(
             ByteSize::new(8_000),
             PolicyKind::Lru,
-            AdmissionRule::All,
-            shards,
+            &[SLOTS; 8][..shards],
         )
         .expect("valid shard count")
+    }
+
+    /// One request for shard-local `slot`, as a sharded replay worker runs
+    /// it: look up under the shard lock, insert on a miss, then account
+    /// the outcome in the shard's lock-free counters.
+    fn request(engine: &ShardedEngine, shard: usize, slot: u64, size: u64) -> bool {
+        let doc = DocId::new(slot);
+        let hit = engine.with_shard(shard, |cache| {
+            let hit = cache.access(doc);
+            if !hit {
+                cache.insert(doc, DocumentType::Html, ByteSize::new(size));
+            }
+            hit
+        });
+        let bytes_hit = if hit { size } else { 0 };
+        engine
+            .counters(shard)
+            .add_bulk(1, hit as u64, size, bytes_hit);
+        hit
     }
 
     #[test]
@@ -625,16 +560,20 @@ mod tests {
         assert_eq!(e.capacity().as_u64(), 8_000);
         assert_eq!(e.shard_capacity().as_u64(), 2_000);
         let tiny =
-            ShardedEngine::new(ByteSize::new(3), PolicyKind::Lru, AdmissionRule::All, 8).unwrap();
+            ShardedEngine::with_dense_shards(ByteSize::new(3), PolicyKind::Lru, &[1; 8]).unwrap();
         assert_eq!(tiny.shard_capacity().as_u64(), 1);
+        assert_eq!(
+            ShardedEngine::with_dense_shards(ByteSize::new(3), PolicyKind::Lru, &[1; 3])
+                .unwrap_err(),
+            ShardConfigError::NotPowerOfTwo(3)
+        );
     }
 
     #[test]
-    fn requests_hit_their_own_shard_and_count_lock_free() {
+    fn requests_count_lock_free_in_their_own_shard() {
         let e = engine(4);
-        let doc = DocId::new(42);
-        assert!(!e.request(doc, DocumentType::Html, ByteSize::new(100)));
-        assert!(e.request(doc, DocumentType::Html, ByteSize::new(100)));
+        assert!(!request(&e, 2, 42, 100));
+        assert!(request(&e, 2, 42, 100));
         let totals = e.totals();
         assert_eq!(totals.requests, 2);
         assert_eq!(totals.hits, 1);
@@ -642,46 +581,18 @@ mod tests {
         assert_eq!(totals.bytes_hit, 100);
         assert!((totals.hit_rate() - 0.5).abs() < 1e-12);
         assert!((totals.byte_hit_rate() - 0.5).abs() < 1e-12);
-        // Exactly one shard saw the traffic.
-        let busy: Vec<_> = e
+        // Exactly shard 2 saw the traffic.
+        let busy: Vec<usize> = e
             .snapshot()
-            .into_iter()
-            .filter(|s| s.requests > 0)
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.requests > 0)
+            .map(|(i, _)| i)
             .collect();
-        assert_eq!(busy.len(), 1);
+        assert_eq!(busy, vec![2]);
         assert_eq!(e.len(), 1);
         assert!(!e.is_empty());
         assert_eq!(e.used_bytes().as_u64(), 100);
-    }
-
-    #[test]
-    fn invalidate_reaches_the_owning_shard() {
-        let e = engine(8);
-        let doc = DocId::new(7);
-        e.request(doc, DocumentType::Image, ByteSize::new(50));
-        assert!(e.invalidate(doc));
-        assert!(!e.invalidate(doc), "second invalidate finds nothing");
-        assert!(e.is_empty());
-    }
-
-    #[test]
-    fn single_shard_engine_behaves_like_a_plain_cache() {
-        let e = engine(1);
-        let mut plain = Cache::new(ByteSize::new(8_000), PolicyKind::Lru.build());
-        for id in 0..200u64 {
-            let doc = DocId::new(id % 37);
-            let size = ByteSize::new(64 + id % 5);
-            let expected = {
-                let hit = plain.access(doc);
-                if !hit {
-                    plain.insert(doc, DocumentType::Html, size);
-                }
-                hit
-            };
-            assert_eq!(e.request(doc, DocumentType::Html, size), expected);
-        }
-        assert_eq!(e.len(), plain.len());
-        assert_eq!(e.used_bytes(), plain.used_bytes());
     }
 
     #[test]
@@ -694,8 +605,8 @@ mod tests {
                 let e = &e;
                 scope.spawn(move || {
                     for i in 0..per_thread {
-                        let doc = DocId::new((t * per_thread + i) % 61);
-                        e.request(doc, DocumentType::Html, ByteSize::new(10));
+                        let n = t * per_thread + i;
+                        request(e, (n % 4) as usize, n % 61, 10);
                     }
                 });
             }
@@ -717,17 +628,17 @@ mod tests {
         probed.set_lock_probes((0..4).map(|_| ShardLockProbe::new()).collect());
         let plain = engine(4);
         for id in 0..500u64 {
-            let doc = DocId::new(id % 93);
-            let size = ByteSize::new(40 + id % 7);
+            let shard = (id % 4) as usize;
+            let slot = id % 93;
+            let size = 40 + id % 7;
             assert_eq!(
-                probed.request(doc, DocumentType::Html, size),
-                plain.request(doc, DocumentType::Html, size)
+                request(&probed, shard, slot, size),
+                request(&plain, shard, slot, size)
             );
         }
-        assert_eq!(
-            probed.invalidate(DocId::new(1)),
-            plain.invalidate(DocId::new(1))
-        );
+        let invalidate =
+            |e: &ShardedEngine| e.with_shard(1, |cache| cache.invalidate(DocId::new(1)));
+        assert_eq!(invalidate(&probed), invalidate(&plain));
         assert_eq!(probed.len(), plain.len());
         assert_eq!(probed.used_bytes(), plain.used_bytes());
         assert_eq!(probed.totals(), plain.totals());
@@ -759,7 +670,7 @@ mod tests {
                 });
             });
             std::thread::sleep(std::time::Duration::from_millis(5));
-            engine.request(DocId::new(1), DocumentType::Html, ByteSize::new(10));
+            request(engine, 0, 1, 10);
             holder.join().unwrap();
         });
         let probe = &e.lock_probes().unwrap()[0];

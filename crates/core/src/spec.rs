@@ -1,8 +1,11 @@
-//! Composable policy specification: the single construction entry point.
+//! Composable policy specification: the one place a policy is named.
 //!
-//! A [`PolicySpec`] pairs an [`AdmissionSpec`] with a
-//! [`ReplacementKind`], so "frequency-sketch admission composed with any
-//! replacement policy" is a first-class, parseable, serializable value:
+//! A [`PolicySpec`] pairs an [`AdmissionSpec`] with a [`PolicyKind`], so
+//! "frequency-sketch admission composed with any replacement policy" is
+//! a first-class, parseable value. It is also the only place an
+//! admission filter is named: callers build the replacement half with
+//! `spec.replacement.build()` and hand `spec.admission` to the
+//! [`Cache`](crate::Cache) constructor beside it.
 //!
 //! ```
 //! use webcache_core::{AdmissionSpec, PolicyKind, PolicySpec};
@@ -12,8 +15,7 @@
 //! assert_eq!(spec.replacement, PolicyKind::Slru);
 //! assert_eq!(spec.to_string(), "TinyLFU+SLRU");
 //!
-//! // A bare replacement name is the admit-everything spec — every
-//! // pre-redesign `PolicyKind` call site means exactly this.
+//! // A bare replacement name is the admit-everything spec.
 //! let arc: PolicySpec = "arc".parse().unwrap();
 //! assert_eq!(arc, PolicyKind::Arc.into());
 //! ```
@@ -34,11 +36,7 @@ use serde::{Deserialize, Serialize};
 use webcache_trace::ByteSize;
 
 use crate::admission::AdmissionSpec;
-use crate::policy::{PolicyKind, ReplacementPolicy};
-
-/// The replacement half of a [`PolicySpec`]. Today this is exactly
-/// [`PolicyKind`]; the alias is the documented name going forward.
-pub type ReplacementKind = PolicyKind;
+use crate::policy::PolicyKind;
 
 /// Window used when a `2hit` prefix names no explicit window.
 pub const DEFAULT_SECOND_HIT_WINDOW: usize = 4_096;
@@ -51,23 +49,14 @@ pub struct PolicySpec {
     /// Admission filter consulted before storing a fetched document.
     pub admission: AdmissionSpec,
     /// Replacement scheme choosing eviction victims.
-    pub replacement: ReplacementKind,
+    pub replacement: PolicyKind,
 }
 
 impl PolicySpec {
     /// A spec composing the given admission filter and replacement kind.
-    pub fn new(admission: AdmissionSpec, replacement: ReplacementKind) -> Self {
+    pub fn new(admission: AdmissionSpec, replacement: PolicyKind) -> Self {
         PolicySpec {
             admission,
-            replacement,
-        }
-    }
-
-    /// The admit-everything spec for a replacement kind — the exact
-    /// meaning every pre-redesign `PolicyKind` call site had.
-    pub fn replacement_only(replacement: ReplacementKind) -> Self {
-        PolicySpec {
-            admission: AdmissionSpec::All,
             replacement,
         }
     }
@@ -81,34 +70,6 @@ impl PolicySpec {
         }
     }
 
-    /// This spec's admission when it names one, otherwise `fallback` —
-    /// the precedence rule gluing `PolicySpec` to configs that carry
-    /// their own default admission rule.
-    pub fn admission_or(&self, fallback: AdmissionSpec) -> AdmissionSpec {
-        if self.admission == AdmissionSpec::All {
-            fallback
-        } else {
-            self.admission
-        }
-    }
-
-    /// Constructs the replacement policy instance for this spec. The
-    /// admission half is built separately by the cache (it needs mutable
-    /// per-cache state); see [`Cache::with_spec`](crate::Cache::with_spec).
-    pub fn build(&self) -> Box<dyn ReplacementPolicy> {
-        self.replacement.build()
-    }
-
-    /// Like [`PolicySpec::build`], but routing the replacement policy's
-    /// internal events (heap costs, inflation, eviction reasons) into
-    /// `sink`. `build_instrumented(())` is exactly [`PolicySpec::build`].
-    pub fn build_instrumented<M: webcache_obs::MetricsSink>(
-        &self,
-        sink: M,
-    ) -> Box<dyn ReplacementPolicy> {
-        self.replacement.build_instrumented(sink)
-    }
-
     /// Parses the `[admission "+"] replacement` grammar, returning
     /// `None` for anything malformed. `FromStr` wraps this with a
     /// descriptive error.
@@ -120,7 +81,7 @@ impl PolicySpec {
             return None; // at most one '+'
         }
         match second {
-            None => Some(PolicySpec::replacement_only(PolicyKind::parse(first)?)),
+            None => Some(PolicyKind::parse(first)?.into()),
             Some(replacement) => Some(PolicySpec::new(
                 parse_admission(first)?,
                 PolicyKind::parse(replacement)?,
@@ -131,7 +92,7 @@ impl PolicySpec {
 
 impl From<PolicyKind> for PolicySpec {
     fn from(kind: PolicyKind) -> Self {
-        PolicySpec::replacement_only(kind)
+        PolicySpec::new(AdmissionSpec::All, kind)
     }
 }
 
@@ -277,20 +238,5 @@ mod tests {
         }
         let err = "tinylfu".parse::<PolicySpec>().unwrap_err();
         assert!(err.to_string().contains("tinylfu"), "{err}");
-    }
-
-    #[test]
-    fn admission_precedence_prefers_the_spec() {
-        let composed = PolicySpec::new(AdmissionSpec::TinyLfu, PolicyKind::Lru);
-        let bare = PolicySpec::replacement_only(PolicyKind::Lru);
-        let fallback = AdmissionSpec::SecondHit(8);
-        assert_eq!(composed.admission_or(fallback), AdmissionSpec::TinyLfu);
-        assert_eq!(bare.admission_or(fallback), fallback);
-    }
-
-    #[test]
-    fn build_constructs_the_replacement_half() {
-        let spec = PolicySpec::new(AdmissionSpec::TinyLfu, PolicyKind::S3Fifo);
-        assert_eq!(spec.build().label(), "S3-FIFO");
     }
 }

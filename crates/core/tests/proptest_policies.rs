@@ -8,7 +8,7 @@ use proptest::prelude::*;
 
 use webcache_core::policy::GdStar;
 use webcache_core::pqueue::IndexedHeap;
-use webcache_core::{Cache, CostModel, PolicyKind};
+use webcache_core::{AdmissionSpec, Cache, CostModel, PolicyKind};
 use webcache_trace::{ByteSize, DocId, DocumentType};
 
 #[derive(Debug, Clone)]
@@ -59,7 +59,7 @@ proptest! {
         capacity in 1_000u64..50_000,
         ops in prop::collection::vec(arb_op(), 1..400),
     ) {
-        let mut cache = Cache::new(ByteSize::new(capacity), kind.instantiate());
+        let mut cache = Cache::new(ByteSize::new(capacity), kind.build(), AdmissionSpec::All);
         apply(&mut cache, &ops);
         cache.debug_validate();
         prop_assert!(cache.used_bytes() <= cache.capacity());
@@ -72,7 +72,7 @@ proptest! {
         ops in prop::collection::vec(arb_op(), 1..200),
     ) {
         let run = || {
-            let mut cache = Cache::new(ByteSize::new(10_000), kind.instantiate());
+            let mut cache = Cache::new(ByteSize::new(10_000), kind.build(), AdmissionSpec::All);
             apply(&mut cache, &ops);
             let mut docs: Vec<u64> = (0..64)
                 .filter(|&d| cache.contains(DocId::new(d)))
@@ -190,7 +190,7 @@ proptest! {
         kind in arb_policy(),
         docs in prop::collection::btree_set(0u64..1_000, 1..100),
     ) {
-        let mut p = kind.instantiate();
+        let mut p = kind.build();
         for &d in &docs {
             p.on_insert(DocId::new(d), ByteSize::new(d + 1));
         }
@@ -206,7 +206,7 @@ proptest! {
 
 mod admission_props {
     use proptest::prelude::*;
-    use webcache_core::admission::{AdmissionController, AdmissionRule};
+    use webcache_core::admission::{AdmissionController, AdmissionSpec};
     use webcache_trace::{ByteSize, DocId};
 
     proptest! {
@@ -218,7 +218,7 @@ mod admission_props {
             window in 1usize..64,
             fetches in prop::collection::vec(0u64..40, 1..500),
         ) {
-            let mut c = AdmissionController::new(AdmissionRule::SecondHit(window));
+            let mut c = AdmissionController::new(AdmissionSpec::SecondHit(window));
             let mut pending: std::collections::HashSet<u64> =
                 std::collections::HashSet::new();
             for doc in fetches {
@@ -240,7 +240,7 @@ mod admission_props {
             limit in 1u64..1_000_000,
             sizes in prop::collection::vec(0u64..2_000_000, 1..100),
         ) {
-            let mut c = AdmissionController::new(AdmissionRule::MaxSize(ByteSize::new(limit)));
+            let mut c = AdmissionController::new(AdmissionSpec::MaxSize(ByteSize::new(limit)));
             for (i, &s) in sizes.iter().enumerate() {
                 prop_assert_eq!(
                     c.admit(DocId::new(i as u64), ByteSize::new(s)),

@@ -199,7 +199,7 @@ struct SeriesCells {
 /// `L` over the run).
 ///
 /// Pushes are recorded at a deterministic stride: once the retained
-/// vector reaches twice [`SERIES_TARGET`] samples, every other sample is
+/// vector reaches twice `SERIES_TARGET` (256) samples, every other sample is
 /// dropped and the stride doubles, so memory stays bounded while the
 /// retained points remain evenly spaced over the whole run.
 #[derive(Debug, Clone)]

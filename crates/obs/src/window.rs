@@ -1,7 +1,7 @@
 //! Windowed percentile histograms.
 //!
 //! A [`WindowedHistogram`] is a ring of `K` log2-bucket histograms (the
-//! same fixed buckets as [`registry::Histogram`]) rotated explicitly by
+//! same fixed buckets as [`Histogram`](crate::Histogram)) rotated explicitly by
 //! the owner — one rotation per anomaly window, replay pass, or
 //! whatever cadence the caller picks. The record path is lock-free:
 //! load the current slot index, then a handful of relaxed `fetch_add`s.

@@ -452,7 +452,7 @@ impl Observer for AnomalyObserver {
 mod tests {
     use super::*;
     use crate::{SimulationConfig, Simulator};
-    use webcache_core::{AdmissionRule, PolicyKind};
+    use webcache_core::{AdmissionSpec, PolicyKind, PolicySpec};
     use webcache_obs::Level;
     use webcache_trace::{ByteSize, DocId, Request, Timestamp, Trace};
 
@@ -477,19 +477,18 @@ mod tests {
     fn run(
         trace: Trace,
         capacity: u64,
-        admission: Option<AdmissionRule>,
+        admission: AdmissionSpec,
         config: AnomalyConfig,
     ) -> (AnomalyObserver, webcache_obs::LogCapture, Registry) {
         let registry = Registry::new();
         let (logger, capture) = Logger::capture(Level::Warn);
         let mut obs = AnomalyObserver::register(&registry, logger, config);
-        let mut builder = SimulationConfig::builder()
+        let config = SimulationConfig::builder()
             .capacity(ByteSize::new(capacity))
-            .warmup_fraction(0.0);
-        if let Some(rule) = admission {
-            builder = builder.admission_rule(rule);
-        }
-        Simulator::new(PolicyKind::Lru.build(), builder.build()).run_observed(&trace, &mut obs);
+            .warmup_fraction(0.0)
+            .build();
+        Simulator::from_spec(PolicySpec::new(admission, PolicyKind::Lru), config)
+            .run_observed(&trace, &mut obs);
         (obs, capture, registry)
     }
 
@@ -520,7 +519,7 @@ mod tests {
 
     #[test]
     fn hit_rate_cliff_fires_collapse_exactly_once() {
-        let (obs, capture, registry) = run(cliff_trace(), 10_000_000, None, config());
+        let (obs, capture, registry) = run(cliff_trace(), 10_000_000, AdmissionSpec::All, config());
         assert_only(&obs, AnomalyKind::HitRateCollapse, 1);
         assert_eq!(obs.windows_closed(), 3);
         let lines = capture.lines();
@@ -574,7 +573,7 @@ mod tests {
         for i in 0..5 * w {
             requests.push(req(10_000 + i as u64, 500));
         }
-        let (obs, capture, _) = run(requests.into(), 100_000_000, None, config());
+        let (obs, capture, _) = run(requests.into(), 100_000_000, AdmissionSpec::All, config());
         // Window 2 fires; the EWMA then absorbs the 0 rate quickly, so at
         // least the first cold window is anomalous.
         assert!(obs.fired(AnomalyKind::HitRateCollapse) >= 1);
@@ -608,7 +607,7 @@ mod tests {
                 requests.push(req((i % 8) as u64, 100));
             }
         }
-        let (obs, capture, _) = run(requests.into(), 800, None, config);
+        let (obs, capture, _) = run(requests.into(), 800, AdmissionSpec::All, config);
         assert_only(&obs, AnomalyKind::EvictionStorm, 1);
         let lines = capture.lines();
         assert_eq!(lines.len(), 1, "{lines:?}");
@@ -641,7 +640,7 @@ mod tests {
         let (obs, capture, _) = run(
             requests.into(),
             10_000_000,
-            Some(AdmissionRule::SecondHit(1 << 20)),
+            AdmissionSpec::SecondHit(1 << 20),
             config(),
         );
         assert_only(&obs, AnomalyKind::AdmissionRejectSpike, 1);
@@ -675,7 +674,7 @@ mod tests {
                 requests.push(req((i % 8) as u64, 100_000));
             }
         }
-        let (obs, capture, _) = run(requests.into(), capacity, None, config());
+        let (obs, capture, _) = run(requests.into(), capacity, AdmissionSpec::All, config());
         assert_only(&obs, AnomalyKind::OccupancyThrash, 1);
         let lines = capture.lines();
         assert_eq!(lines.len(), 1, "{lines:?}");
@@ -694,7 +693,7 @@ mod tests {
         // accesses miss and evict, window after window.
         let w = WINDOW as usize;
         let requests: Vec<Request> = (0..12 * w).map(|i| req((i % 100) as u64, 1_000)).collect();
-        let (obs, capture, _) = run(requests.into(), 50_000, None, config());
+        let (obs, capture, _) = run(requests.into(), 50_000, AdmissionSpec::All, config());
         assert_only(&obs, AnomalyKind::HitRateCollapse, 0);
         assert_eq!(obs.windows_closed(), 12);
         assert!(capture.lines().is_empty(), "{:?}", capture.lines());

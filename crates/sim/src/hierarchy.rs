@@ -136,10 +136,12 @@ impl HierarchyReport {
 /// Panics on an invalid configuration (zero leaves or capacities).
 pub fn simulate_hierarchy(trace: &Trace, config: HierarchyConfig) -> HierarchyReport {
     config.validate();
+    let cache =
+        |capacity, spec: PolicySpec| Cache::new(capacity, spec.replacement.build(), spec.admission);
     let mut leaves: Vec<Cache> = (0..config.leaf_count)
-        .map(|_| Cache::with_spec(config.leaf_capacity, config.leaf_policy))
+        .map(|_| cache(config.leaf_capacity, config.leaf_policy))
         .collect();
-    let mut parent = Cache::with_spec(config.parent_capacity, config.parent_policy);
+    let mut parent = cache(config.parent_capacity, config.parent_policy);
 
     let warmup_end = trace.warmup_boundary(config.warmup_fraction);
     let mut leaf_stats = HitStats::default();

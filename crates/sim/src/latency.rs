@@ -221,7 +221,7 @@ mod tests {
             })
             .collect();
         let report = crate::Simulator::new(
-            PolicyKind::Lru.instantiate(),
+            PolicyKind::Lru.build(),
             crate::SimulationConfig::new(ByteSize::from_kib(64)).with_warmup_fraction(0.0),
         )
         .run(&trace);

@@ -30,11 +30,8 @@
 //!         ByteSize::new(1_000),
 //!     ))
 //!     .collect();
-//! let report = Simulator::new(
-//!     PolicyKind::Lru.instantiate(),
-//!     SimulationConfig::new(ByteSize::from_kib(64)),
-//! )
-//! .run(&trace);
+//! let config = SimulationConfig::new(ByteSize::from_kib(64));
+//! let report = Simulator::from_spec(PolicyKind::Lru, config).run(&trace);
 //! assert!(report.overall().hit_rate() > 0.8); // 7 hot documents fit easily
 //! ```
 
@@ -55,6 +52,8 @@ pub mod observe;
 pub mod occupancy;
 pub mod oracle;
 pub mod profile;
+#[cfg(test)]
+mod reference;
 pub mod regret;
 pub mod report;
 pub mod simulator;

@@ -69,14 +69,14 @@ pub struct RunMeta {
 
 /// One request-level event.
 ///
-/// In a dense replay ([`Simulator::run_dense_observed`](crate::Simulator::run_dense_observed))
-/// `doc` **is** the dense document slot (`0..distinct_documents`); in a
-/// hashed replay it is the caller's sparse document id.
+/// `doc` **is** the dense document slot (`0..distinct_documents`) the
+/// replay ([`Simulator::run_dense_observed`](crate::Simulator::run_dense_observed))
+/// interned the trace's id to, not the trace's own document id.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AccessEvent {
     /// Index of the request in the trace (0-based, warm-up included).
     pub index: u64,
-    /// Document slot (dense replay) or sparse document id (hashed replay).
+    /// Dense document slot of the requested document.
     pub doc: DocId,
     /// Type of the requested document.
     pub doc_type: DocumentType,
@@ -237,8 +237,9 @@ impl<A: Observer, B: Observer> Observer for (A, B) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use webcache_core::PolicyKind;
+    use webcache_core::{AdmissionSpec, PolicyKind};
 
+    use crate::reference::Recorder;
     use crate::{SimulationConfig, Simulator};
     use webcache_trace::{Request, Timestamp, Trace};
 
@@ -249,38 +250,6 @@ mod tests {
             DocumentType::Html,
             ByteSize::new(size),
         )
-    }
-
-    /// Records the full event stream for assertion.
-    #[derive(Debug, Default)]
-    struct Recorder {
-        started: Option<RunMeta>,
-        accesses: Vec<(AccessEvent, AccessKind)>,
-        inserts: Vec<AccessEvent>,
-        rejects: Vec<AccessEvent>,
-        evictions: Vec<(AccessEvent, Eviction)>,
-        ended: bool,
-    }
-
-    impl Observer for Recorder {
-        fn on_run_start(&mut self, meta: RunMeta) {
-            self.started = Some(meta);
-        }
-        fn on_access(&mut self, event: AccessEvent, kind: AccessKind) {
-            self.accesses.push((event, kind));
-        }
-        fn on_insert(&mut self, event: AccessEvent) {
-            self.inserts.push(event);
-        }
-        fn on_admission_reject(&mut self, event: AccessEvent) {
-            self.rejects.push(event);
-        }
-        fn on_evict(&mut self, at: AccessEvent, evicted: Eviction) {
-            self.evictions.push((at, evicted));
-        }
-        fn on_run_end(&mut self) {
-            self.ended = true;
-        }
     }
 
     #[test]
@@ -333,35 +302,15 @@ mod tests {
 
     #[test]
     fn admission_rejects_are_observed() {
-        use webcache_core::AdmissionRule;
         let trace: Trace = vec![req(1, 100), req(1, 100)].into();
         let mut rec = Recorder::default();
         let config = SimulationConfig::builder()
             .capacity(ByteSize::new(1_000))
             .warmup_fraction(0.0)
-            .admission_rule(AdmissionRule::SecondHit(16))
             .build();
-        Simulator::new(PolicyKind::Lru.build(), config).run_observed(&trace, &mut rec);
+        let spec = webcache_core::PolicySpec::new(AdmissionSpec::SecondHit(16), PolicyKind::Lru);
+        Simulator::from_spec(spec, config).run_observed(&trace, &mut rec);
         assert_eq!(rec.rejects.len(), 1, "first offer is filtered");
         assert_eq!(rec.inserts.len(), 1, "second offer is admitted");
-    }
-
-    #[test]
-    fn dense_and_hashed_replays_emit_identical_streams() {
-        let trace: Trace = (0..60u64)
-            .map(|i| req(i % 7, 200 + (i % 3) * 400))
-            .collect();
-        let config = SimulationConfig::builder()
-            .capacity(ByteSize::new(1_500))
-            .warmup_fraction(0.1)
-            .build();
-        let mut dense = Recorder::default();
-        Simulator::new(PolicyKind::Lru.build(), config).run_observed(&trace, &mut dense);
-        let mut hashed = Recorder::default();
-        Simulator::new(PolicyKind::Lru.build(), config).run_hashed_observed(&trace, &mut hashed);
-        // Doc ids agree because the trace's ids are already dense.
-        assert_eq!(dense.accesses, hashed.accesses);
-        assert_eq!(dense.inserts, hashed.inserts);
-        assert_eq!(dense.evictions, hashed.evictions);
     }
 }

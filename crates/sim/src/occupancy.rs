@@ -122,12 +122,20 @@ impl OccupancySeries {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use webcache_core::PolicyKind;
+    use webcache_core::{AdmissionSpec, PolicyKind};
     use webcache_trace::{ByteSize, DocId};
+
+    fn lru_cache() -> Cache {
+        Cache::new(
+            ByteSize::new(1000),
+            PolicyKind::Lru.build(),
+            AdmissionSpec::All,
+        )
+    }
 
     #[test]
     fn capture_computes_fractions() {
-        let mut cache = Cache::new(ByteSize::new(1000), PolicyKind::Lru.instantiate());
+        let mut cache = lru_cache();
         cache.insert(DocId::new(1), DocumentType::Image, ByteSize::new(100));
         cache.insert(DocId::new(2), DocumentType::MultiMedia, ByteSize::new(300));
         let s = OccupancySample::capture(7, &cache);
@@ -141,7 +149,7 @@ mod tests {
     fn empty_cache_has_zero_fractions() {
         // The documented convention: an empty cache yields all-zero
         // fractions (never NaN) across every type in both maps.
-        let cache = Cache::new(ByteSize::new(1000), PolicyKind::Lru.instantiate());
+        let cache = lru_cache();
         let s = OccupancySample::capture(0, &cache);
         for ty in DocumentType::ALL {
             assert_eq!(s.document_fraction[ty], 0.0, "{ty:?} document fraction");
@@ -151,7 +159,7 @@ mod tests {
 
     #[test]
     fn series_summaries() {
-        let mut cache = Cache::new(ByteSize::new(1000), PolicyKind::Lru.instantiate());
+        let mut cache = lru_cache();
         let mut series = OccupancySeries::new();
         cache.insert(DocId::new(1), DocumentType::Image, ByteSize::new(100));
         series.push(OccupancySample::capture(0, &cache));

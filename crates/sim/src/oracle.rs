@@ -324,7 +324,7 @@ mod tests {
         // cyclic a b c with capacity 2 blocks.
         let t = trace(&[0, 1, 2, 0, 1, 2, 0, 1, 2]);
         let oracle = clairvoyant_overall(&t, &config(200));
-        let lru = crate::Simulator::new(PolicyKind::Lru.instantiate(), config(200))
+        let lru = crate::Simulator::new(PolicyKind::Lru.build(), config(200))
             .run(&t)
             .overall();
         assert_eq!(lru.hits, 0, "LRU thrashes on the cycle");
@@ -353,7 +353,7 @@ mod tests {
             let cap = blocks * 100;
             let oracle = clairvoyant_overall(&t, &config(cap));
             for kind in PolicyKind::ALL {
-                let online = crate::Simulator::new(kind.instantiate(), config(cap))
+                let online = crate::Simulator::new(kind.build(), config(cap))
                     .run(&t)
                     .overall();
                 assert!(

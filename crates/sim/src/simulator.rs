@@ -1,10 +1,8 @@
 //! The trace-driven simulator.
 
-use std::collections::HashMap;
-
 use serde::{Deserialize, Serialize};
 
-use webcache_core::{AdmissionRule, Cache, PolicySpec, ReplacementPolicy};
+use webcache_core::{AdmissionSpec, Cache, PolicySpec, ReplacementPolicy};
 use webcache_trace::{ByteSize, DenseTrace, DocumentType, Trace, TypeMap};
 
 use crate::metrics::HitStats;
@@ -59,9 +57,6 @@ pub struct SimulationConfig {
     pub warmup_fraction: f64,
     /// Modification-detection rule.
     pub modification_rule: ModificationRule,
-    /// Admission rule applied in front of the store (default: admit
-    /// everything, as in the paper).
-    pub admission_rule: AdmissionRule,
     /// Number of occupancy snapshots to take over the measured part of
     /// the trace (0 disables the Figure 1 series).
     pub occupancy_samples: usize,
@@ -75,14 +70,13 @@ impl SimulationConfig {
             capacity,
             warmup_fraction: 0.10,
             modification_rule: ModificationRule::default(),
-            admission_rule: AdmissionRule::default(),
             occupancy_samples: 0,
         }
     }
 
     /// Starts a builder pre-loaded with the paper's defaults (10%
-    /// warm-up, [`ModificationRule::SizeDelta`], admit-everything, no
-    /// occupancy sampling). Only the capacity must be supplied.
+    /// warm-up, [`ModificationRule::SizeDelta`], no occupancy sampling).
+    /// Only the capacity must be supplied.
     ///
     /// ```
     /// use webcache_sim::{ModificationRule, SimulationConfig};
@@ -110,7 +104,6 @@ pub struct SimulationConfigBuilder {
     capacity: Option<ByteSize>,
     warmup_fraction: Option<f64>,
     modification_rule: Option<ModificationRule>,
-    admission_rule: Option<AdmissionRule>,
     occupancy_samples: Option<usize>,
 }
 
@@ -144,13 +137,6 @@ impl SimulationConfigBuilder {
         self
     }
 
-    /// Sets the admission rule (default: admit everything).
-    #[must_use]
-    pub fn admission_rule(mut self, rule: AdmissionRule) -> Self {
-        self.admission_rule = Some(rule);
-        self
-    }
-
     /// Sets the number of occupancy snapshots (default 0 — disabled).
     #[must_use]
     pub fn occupancy_samples(mut self, samples: usize) -> Self {
@@ -174,9 +160,6 @@ impl SimulationConfigBuilder {
         if let Some(r) = self.modification_rule {
             config.modification_rule = r;
         }
-        if let Some(r) = self.admission_rule {
-            config.admission_rule = r;
-        }
         if let Some(s) = self.occupancy_samples {
             config.occupancy_samples = s;
         }
@@ -185,11 +168,17 @@ impl SimulationConfigBuilder {
 }
 
 impl SimulationConfig {
-    /// Overrides the admission rule.
-    #[must_use]
-    pub fn with_admission_rule(mut self, rule: AdmissionRule) -> Self {
-        self.admission_rule = rule;
-        self
+    /// How many requests to skip for warm-up and how often to sample
+    /// occupancy, for a trace of `len` requests.
+    pub(crate) fn schedule(&self, len: usize) -> (usize, usize) {
+        let warmup_end = ((len as f64) * self.warmup_fraction).floor() as usize;
+        let measured = len.saturating_sub(warmup_end);
+        let sample_every = if self.occupancy_samples > 0 && measured > 0 {
+            (measured / self.occupancy_samples).max(1)
+        } else {
+            usize::MAX
+        };
+        (warmup_end, sample_every)
     }
 
     /// Enables occupancy sampling with the given number of snapshots.
@@ -271,13 +260,14 @@ pub(crate) const NO_TRANSFER: u64 = u64::MAX;
 
 /// Drives a [`Cache`] over a [`Trace`] and accounts per-type hit rates.
 ///
-/// See the [crate docs](crate) for the methodology. [`Simulator::run`]
-/// replays through the hash-free dense path ([`DenseTrace`] +
-/// [`Cache::with_dense_slots`]); [`Simulator::run_hashed`] keeps the
-/// sparse-id path alive, primarily so tests can check the two agree.
+/// See the [crate docs](crate) for the methodology. Every run replays
+/// through the hash-free dense path ([`DenseTrace`] +
+/// [`Cache::with_dense_slots`]).
 #[derive(Debug)]
 pub struct Simulator {
     policy: Box<dyn ReplacementPolicy>,
+    /// The admission half of the spec the simulator was built from.
+    admission: AdmissionSpec,
     config: SimulationConfig,
     /// Flight-recorder seam: handed to the cache so admission verdicts
     /// push their reasons for the
@@ -287,44 +277,39 @@ pub struct Simulator {
 }
 
 impl Simulator {
-    /// Creates a simulator that will drive a fresh cache.
+    /// Creates a simulator driving a fresh admit-everything cache with
+    /// `policy`: the entry point for a policy a [`PolicySpec`] cannot
+    /// name, such as a GD\* with a fixed β.
     pub fn new(policy: Box<dyn ReplacementPolicy>, config: SimulationConfig) -> Self {
         Simulator {
             policy,
+            admission: AdmissionSpec::All,
             config,
             admit_reasons: None,
         }
     }
 
     /// Creates a simulator from a composed [`PolicySpec`] (or a bare
-    /// [`PolicyKind`](webcache_core::PolicyKind)) — the redesigned entry
-    /// point. A spec-level admission filter overrides
-    /// [`SimulationConfig::admission_rule`]; a bare replacement spec
-    /// keeps the config's rule (see [`PolicySpec::admission_or`]).
+    /// [`PolicyKind`](webcache_core::PolicyKind), which admits
+    /// everything).
     pub fn from_spec(spec: impl Into<PolicySpec>, config: SimulationConfig) -> Self {
-        let spec = spec.into();
-        let mut config = config;
-        config.admission_rule = spec.admission_or(config.admission_rule);
-        Simulator {
-            policy: spec.build(),
-            config,
-            admit_reasons: None,
-        }
+        Simulator::from_spec_instrumented(spec, config, ())
     }
 
     /// Like [`Simulator::from_spec`], but building the replacement
-    /// policy with [`PolicySpec::build_instrumented`] so its internal
+    /// policy with [`PolicyKind::build_instrumented`] so its internal
     /// events (heap costs, inflation, eviction reasons) reach `sink`.
+    ///
+    /// [`PolicyKind::build_instrumented`]: webcache_core::PolicyKind::build_instrumented
     pub fn from_spec_instrumented<M: webcache_obs::MetricsSink>(
         spec: impl Into<PolicySpec>,
         config: SimulationConfig,
         sink: M,
     ) -> Self {
         let spec = spec.into();
-        let mut config = config;
-        config.admission_rule = spec.admission_or(config.admission_rule);
         Simulator {
-            policy: spec.build_instrumented(sink),
+            policy: spec.replacement.build_instrumented(sink),
+            admission: spec.admission,
             config,
             admit_reasons: None,
         }
@@ -335,19 +320,6 @@ impl Simulator {
     /// RejectedByAdmission outcome, in observer-event order.
     pub fn set_admit_reasons(&mut self, reasons: webcache_obs::ReasonChannel) {
         self.admit_reasons = Some(reasons);
-    }
-
-    /// How many requests to skip for warm-up and how often to sample
-    /// occupancy, for a trace of `len` requests.
-    fn schedule(&self, len: usize) -> (usize, usize) {
-        let warmup_end = ((len as f64) * self.config.warmup_fraction).floor() as usize;
-        let measured = len.saturating_sub(warmup_end);
-        let sample_every = if self.config.occupancy_samples > 0 && measured > 0 {
-            (measured / self.config.occupancy_samples).max(1)
-        } else {
-            usize::MAX
-        };
-        (warmup_end, sample_every)
     }
 
     /// Runs the full trace and produces the report.
@@ -379,14 +351,13 @@ impl Simulator {
     /// The observer is a generic parameter, so with [`NoopObserver`] this
     /// monomorphizes to exactly the unobserved loop — the hooks cost
     /// nothing unless an observer actually uses them. Events carry the
-    /// **dense slot** as the document id (see
-    /// [`AccessEvent`](crate::observe::AccessEvent)).
+    /// **dense slot** as the document id (see [`AccessEvent`]).
     pub fn run_dense_observed<O: Observer>(
         self,
         trace: &DenseTrace,
         observer: &mut O,
     ) -> SimulationReport {
-        let (warmup_end, sample_every) = self.schedule(trace.len());
+        let (warmup_end, sample_every) = self.config.schedule(trace.len());
         observer.on_run_start(RunMeta {
             total_requests: trace.len(),
             warmup_end,
@@ -395,7 +366,7 @@ impl Simulator {
         let mut cache = Cache::with_dense_slots(
             self.config.capacity,
             self.policy,
-            self.config.admission_rule,
+            self.admission,
             trace.distinct_documents(),
         );
         if let Some(reasons) = self.admit_reasons {
@@ -468,90 +439,6 @@ impl Simulator {
             occupancy,
         }
     }
-
-    /// Runs the full trace through the sparse-id hashed cache path.
-    ///
-    /// Semantically identical to [`Simulator::run`]; kept so the dense
-    /// rewrite stays checkable against the straightforward
-    /// implementation (see the `dense_matches_hashed` tests).
-    pub fn run_hashed(self, trace: &Trace) -> SimulationReport {
-        self.run_hashed_observed(trace, &mut NoopObserver)
-    }
-
-    /// Like [`Simulator::run_hashed`], but streams every event into
-    /// `observer`. Events carry the caller's sparse document id.
-    pub fn run_hashed_observed<O: Observer>(
-        self,
-        trace: &Trace,
-        observer: &mut O,
-    ) -> SimulationReport {
-        let (warmup_end, sample_every) = self.schedule(trace.len());
-        observer.on_run_start(RunMeta {
-            total_requests: trace.len(),
-            warmup_end,
-            capacity: self.config.capacity,
-        });
-        let mut cache = Cache::with_admission(
-            self.config.capacity,
-            self.policy,
-            self.config.admission_rule,
-        );
-        if let Some(reasons) = self.admit_reasons {
-            cache.set_admit_reasons(reasons);
-        }
-        let mut last_transfer: HashMap<u64, u64> = HashMap::new();
-
-        let mut by_type: TypeMap<HitStats> = TypeMap::default();
-        let mut occupancy = OccupancySeries::new();
-
-        for (index, request) in trace.iter().enumerate() {
-            let doc = request.doc;
-            let transfer = request.size.as_u64();
-            let prev = last_transfer.insert(doc.as_u64(), transfer);
-
-            let modified =
-                prev.is_some_and(|p| self.config.modification_rule.is_modification(p, transfer));
-
-            let hit = if modified {
-                cache.invalidate(doc);
-                false
-            } else {
-                cache.access(doc)
-            };
-            let event = AccessEvent {
-                index: index as u64,
-                doc,
-                doc_type: request.doc_type,
-                size: request.size,
-                warmup: index < warmup_end,
-            };
-            observer.on_access(event, access_kind(hit, modified));
-            if !hit {
-                let outcome = cache.insert(doc, request.doc_type, request.size);
-                notify_insert(observer, event, outcome.disposition, &outcome.evicted);
-            }
-
-            if index >= warmup_end {
-                let stats = &mut by_type[request.doc_type];
-                stats.record(request.size, hit);
-                if modified {
-                    stats.modification_misses += 1;
-                }
-                let measured_index = index - warmup_end;
-                if measured_index % sample_every == sample_every - 1 {
-                    occupancy.push(OccupancySample::capture(index as u64, &cache));
-                }
-            }
-        }
-        observer.on_run_end();
-
-        SimulationReport {
-            policy: cache.policy_label(),
-            config: self.config,
-            by_type,
-            occupancy,
-        }
-    }
 }
 
 /// Classifies one request's outcome for the observer.
@@ -604,7 +491,7 @@ mod tests {
     }
 
     fn run(trace: Vec<Request>, config: SimulationConfig) -> SimulationReport {
-        Simulator::new(PolicyKind::Lru.instantiate(), config).run(&trace.into())
+        Simulator::new(PolicyKind::Lru.build(), config).run(&trace.into())
     }
 
     #[test]
@@ -761,18 +648,15 @@ mod tests {
 
     #[test]
     fn builder_overrides_every_field() {
-        use webcache_core::AdmissionRule;
         let built = SimulationConfig::builder()
             .capacity(ByteSize::new(10))
             .warmup_fraction(0.25)
             .modification_rule(ModificationRule::AnyChange)
-            .admission_rule(AdmissionRule::SecondHit(8))
             .occupancy_samples(7)
             .build();
         let by_hand = SimulationConfig::new(ByteSize::new(10))
             .with_warmup_fraction(0.25)
             .with_modification_rule(ModificationRule::AnyChange)
-            .with_admission_rule(AdmissionRule::SecondHit(8))
             .with_occupancy_samples(7);
         assert_eq!(built, by_hand);
     }
@@ -800,15 +684,13 @@ mod tests {
     }
 
     #[test]
-    fn admission_rule_reduces_first_insertions() {
-        use webcache_core::AdmissionRule;
+    fn second_hit_admission_reduces_first_insertions() {
         // doc 1 appears three times; with the second-hit filter the first
         // request cannot populate the cache, so only the third hits.
-        let trace = vec![req(1, 100), req(1, 100), req(1, 100)];
-        let config = SimulationConfig::new(ByteSize::new(1000))
-            .with_warmup_fraction(0.0)
-            .with_admission_rule(AdmissionRule::SecondHit(16));
-        let report = run(trace, config);
+        let trace: Trace = vec![req(1, 100), req(1, 100), req(1, 100)].into();
+        let config = SimulationConfig::new(ByteSize::new(1000)).with_warmup_fraction(0.0);
+        let spec: PolicySpec = "2hit:16+lru".parse().unwrap();
+        let report = Simulator::from_spec(spec, config).run(&trace);
         assert_eq!(report.overall().hits, 1);
 
         // The same trace without admission control hits twice.
@@ -821,7 +703,7 @@ mod tests {
     fn policy_label_is_propagated() {
         let trace = vec![req(1, 10)];
         let report = Simulator::new(
-            PolicyKind::GdStar(webcache_core::CostModel::Packet).instantiate(),
+            PolicyKind::GdStar(webcache_core::CostModel::Packet).build(),
             SimulationConfig::new(ByteSize::new(100)),
         )
         .run(&trace.into());
@@ -830,23 +712,23 @@ mod tests {
 
     #[test]
     fn from_spec_composes_admission_and_label() {
-        use webcache_core::PolicySpec;
         let trace: Trace = vec![req(1, 10)].into();
         let spec: PolicySpec = "tinylfu+slru".parse().unwrap();
         let report =
             Simulator::from_spec(spec, SimulationConfig::new(ByteSize::new(100))).run(&trace);
         assert_eq!(report.policy, "TinyLFU+SLRU");
-        assert_eq!(
-            report.config.admission_rule,
-            webcache_core::AdmissionSpec::TinyLfu,
-            "spec admission must land in the effective config"
-        );
+    }
 
-        // A bare kind inherits the config's admission rule.
-        let config = SimulationConfig::new(ByteSize::new(100))
-            .with_admission_rule(AdmissionRule::SecondHit(8));
-        let report = Simulator::from_spec(PolicyKind::Lru, config).run(&trace);
-        assert_eq!(report.policy, "2HIT:8+LRU");
-        assert_eq!(report.config.admission_rule, AdmissionRule::SecondHit(8));
+    #[test]
+    fn widest_second_hit_window_replays_without_overflow() {
+        // The largest window a `2hit:N` spec parses to: the filter's
+        // compaction threshold saturates instead of overflowing.
+        let spec: PolicySpec = "2hit:18446744073709551615+lru".parse().unwrap();
+        assert_eq!(spec.admission, AdmissionSpec::SecondHit(usize::MAX));
+        let trace: Trace = (0..64).map(|i| req(i % 5, 100)).collect();
+        let config = SimulationConfig::new(ByteSize::new(250)).with_warmup_fraction(0.0);
+        let report = Simulator::from_spec(spec, config).run(&trace);
+        assert_eq!(report.overall().requests, 64);
+        assert!(report.overall().hits > 0, "second fetches are admitted");
     }
 }

@@ -42,7 +42,7 @@ proptest! {
     ) {
         let config = SimulationConfig::new(ByteSize::new(capacity))
             .with_warmup_fraction(warmup);
-        let report = Simulator::new(kind.instantiate(), config).run(&trace);
+        let report = Simulator::new(kind.build(), config).run(&trace);
         let overall = report.overall();
         let measured = trace.len() - trace.warmup_boundary(warmup);
         prop_assert_eq!(overall.requests, measured as u64);
@@ -64,7 +64,7 @@ proptest! {
     fn infinite_cache_upper_bound(trace in arb_trace(), kind in arb_policy()) {
         let config = SimulationConfig::new(ByteSize::from_gib(8))
             .with_warmup_fraction(0.0);
-        let report = Simulator::new(kind.instantiate(), config).run(&trace);
+        let report = Simulator::new(kind.build(), config).run(&trace);
         let overall = report.overall();
         // Compulsory misses: first touch of each doc; plus modification
         // misses (counted separately).
@@ -84,7 +84,7 @@ proptest! {
             let config = SimulationConfig::new(ByteSize::from_gib(8))
                 .with_warmup_fraction(0.0)
                 .with_modification_rule(rule);
-            Simulator::new(PolicyKind::Lru.instantiate(), config)
+            Simulator::new(PolicyKind::Lru.build(), config)
                 .run(&trace)
                 .overall()
         };
@@ -119,7 +119,7 @@ proptest! {
         let run = |blocks: u64| {
             let config = SimulationConfig::new(ByteSize::new(blocks * size))
                 .with_warmup_fraction(0.0);
-            Simulator::new(PolicyKind::Lru.instantiate(), config)
+            Simulator::new(PolicyKind::Lru.build(), config)
                 .run(&trace)
                 .overall()
                 .hits
@@ -136,7 +136,7 @@ proptest! {
         let config = SimulationConfig::new(ByteSize::from_gib(1))
             .with_warmup_fraction(0.0)
             .with_occupancy_samples(samples);
-        let report = Simulator::new(PolicyKind::Lru.instantiate(), config).run(&trace);
+        let report = Simulator::new(PolicyKind::Lru.build(), config).run(&trace);
         prop_assert!(report.occupancy.len() >= samples.min(trace.len()));
         for s in report.occupancy.samples() {
             let doc_sum: f64 = DocumentType::ALL
@@ -144,146 +144,6 @@ proptest! {
                 .map(|&ty| s.document_fraction[ty])
                 .sum();
             prop_assert!((doc_sum - 1.0).abs() < 1e-9 || doc_sum == 0.0);
-        }
-    }
-}
-
-mod dense_vs_hashed {
-    use proptest::prelude::*;
-    use webcache_core::{AdmissionRule, PolicyKind};
-    use webcache_sim::{ModificationRule, SimulationConfig, Simulator};
-    use webcache_trace::{ByteSize, DocId, DocumentType, Request, Timestamp, Trace};
-
-    /// Spreads a small doc index over the u64 space so the differential
-    /// actually exercises the sparse-id interning of the hashed path.
-    fn sparse_id(doc: u64) -> u64 {
-        doc.wrapping_mul(0x9e37_79b9_7f4a_7c15)
-            .wrapping_add(0xdead_beef)
-    }
-
-    fn arb_sparse_trace() -> impl Strategy<Value = Trace> {
-        prop::collection::vec((0u64..48, 0u8..5, 1u64..100_000), 1..300).prop_map(|reqs| {
-            reqs.into_iter()
-                .enumerate()
-                .map(|(i, (doc, ty, size))| {
-                    Request::new(
-                        Timestamp::from_millis(i as u64),
-                        DocId::new(sparse_id(doc)),
-                        DocumentType::ALL[ty as usize],
-                        ByteSize::new(size),
-                    )
-                })
-                .collect()
-        })
-    }
-
-    fn arb_admission() -> impl Strategy<Value = AdmissionRule> {
-        prop_oneof![
-            Just(AdmissionRule::All),
-            Just(AdmissionRule::TinyLfu),
-            (1u64..50_000).prop_map(|s| AdmissionRule::MaxSize(ByteSize::new(s))),
-            (1usize..64).prop_map(AdmissionRule::SecondHit),
-        ]
-    }
-
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(96))]
-
-        /// The hash-free dense replay is *bit-identical* to the sparse
-        /// hashed replay — same hits, same evictions, same occupancy
-        /// samples — for every policy, admission rule and config.
-        #[test]
-        fn dense_replay_matches_hashed_replay(
-            trace in arb_sparse_trace(),
-            kind in prop::sample::select(PolicyKind::ALL.to_vec()),
-            capacity in 1_000u64..200_000,
-            warmup in 0.0f64..0.5,
-            admission in arb_admission(),
-            any_change in prop_oneof![Just(false), Just(true)],
-            samples in 0usize..8,
-        ) {
-            let rule = if any_change {
-                ModificationRule::AnyChange
-            } else {
-                ModificationRule::SizeDelta
-            };
-            let config = SimulationConfig::new(ByteSize::new(capacity))
-                .with_warmup_fraction(warmup)
-                .with_admission_rule(admission)
-                .with_modification_rule(rule)
-                .with_occupancy_samples(samples);
-            let dense = Simulator::new(kind.instantiate(), config).run(&trace);
-            let hashed = Simulator::new(kind.instantiate(), config).run_hashed(&trace);
-            prop_assert_eq!(dense, hashed);
-        }
-    }
-
-    /// Deterministic spot check over the full policy roster, including a
-    /// sweep-style grid of capacities.
-    #[test]
-    fn all_policies_agree_on_fixed_workload() {
-        let mut state = 0x2545_f491_4f6c_dd1du64;
-        let mut next = || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            state >> 33
-        };
-        let trace: Trace = (0..4_000)
-            .map(|i| {
-                Request::new(
-                    Timestamp::from_millis(i),
-                    DocId::new(sparse_id(next() % 300)),
-                    DocumentType::ALL[(next() % 5) as usize],
-                    ByteSize::new(next() % 20_000 + 1),
-                )
-            })
-            .collect();
-        for kind in PolicyKind::ALL {
-            for capacity in [10_000u64, 100_000, 1_000_000] {
-                let config = SimulationConfig::new(ByteSize::new(capacity));
-                let dense = Simulator::new(kind.instantiate(), config).run(&trace);
-                let hashed = Simulator::new(kind.instantiate(), config).run_hashed(&trace);
-                assert_eq!(dense, hashed, "{kind:?} diverged at capacity {capacity}");
-            }
-        }
-    }
-
-    /// The sweep engine (which replays the shared dense view) produces
-    /// exactly the report a hashed cell-by-cell run would.
-    #[test]
-    fn sweep_grid_matches_hashed_cells() {
-        use webcache_sim::CacheSizeSweep;
-        let trace: Trace = (0..2_500u64)
-            .map(|i| {
-                Request::new(
-                    Timestamp::from_millis(i),
-                    DocId::new(sparse_id(i * i % 211)),
-                    DocumentType::ALL[(i % 5) as usize],
-                    ByteSize::new(i % 9_000 + 1),
-                )
-            })
-            .collect();
-        let capacities = vec![ByteSize::new(20_000), ByteSize::new(250_000)];
-        let report = CacheSizeSweep::new(PolicyKind::ALL.to_vec(), capacities.clone())
-            .run_with_threads(&trace, 4);
-        assert_eq!(
-            report.points().len(),
-            PolicyKind::ALL.len() * capacities.len()
-        );
-        for point in report.points() {
-            let config = SimulationConfig::new(point.capacity);
-            let hashed = Simulator::from_spec(point.policy, config).run_hashed(&trace);
-            assert_eq!(
-                point.report, hashed,
-                "sweep cell ({:?}, {}) diverged from the hashed replay",
-                point.policy, point.capacity
-            );
-            // And the indexed lookup finds exactly this point.
-            let found = report
-                .get(point.policy, point.capacity)
-                .expect("index lookup");
-            assert_eq!(found.report, point.report);
         }
     }
 }
@@ -360,27 +220,6 @@ mod observer_props {
             } else {
                 prop_assert!(metrics.windows().is_empty());
             }
-        }
-
-        /// The dense and hashed replays feed the observer identically:
-        /// windowed series collected on either path are equal.
-        #[test]
-        fn windowed_series_agree_across_replay_paths(
-            trace in arb_trace(),
-            kind in prop::sample::select(PolicyKind::ALL.to_vec()),
-            capacity in 1_000u64..200_000,
-            window in arb_window(),
-        ) {
-            let config = SimulationConfig::builder()
-                .capacity(ByteSize::new(capacity))
-                .build();
-            let mut dense = WindowedMetrics::new(window);
-            Simulator::new(kind.build(), config).run_observed(&trace, &mut dense);
-            let mut hashed = WindowedMetrics::new(window);
-            Simulator::new(kind.build(), config).run_hashed_observed(&trace, &mut hashed);
-            prop_assert_eq!(dense.windows(), hashed.windows());
-            prop_assert_eq!(dense.warmup_churn(), hashed.warmup_churn());
-            prop_assert_eq!(dense.total_churn(), hashed.total_churn());
         }
 
         /// Eviction accounting balances: everything inserted either
@@ -476,7 +315,7 @@ mod hierarchy_props {
                     .with_warmup_fraction(0.0),
             );
             let single = Simulator::new(
-                PolicyKind::Lru.instantiate(),
+                PolicyKind::Lru.build(),
                 SimulationConfig::new(ByteSize::new(cap)).with_warmup_fraction(0.0),
             )
             .run(&trace);
@@ -517,7 +356,7 @@ mod oracle_props {
             let config = SimulationConfig::new(ByteSize::new(blocks * size))
                 .with_warmup_fraction(0.0);
             let oracle = clairvoyant_overall(&trace, &config);
-            let online = Simulator::new(kind.instantiate(), config).run(&trace).overall();
+            let online = Simulator::new(kind.build(), config).run(&trace).overall();
             prop_assert!(
                 oracle.hits >= online.hits,
                 "{kind} beat MIN: {} vs {}", online.hits, oracle.hits

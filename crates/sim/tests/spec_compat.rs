@@ -1,12 +1,12 @@
-//! Spec-compatibility differential tests.
+//! Spec-compatibility differential test.
 //!
-//! The `PolicySpec` redesign must not move a single counter for the 13
-//! pre-cohort policies: a spec with the default `All` admission half is
-//! pinned bit-for-bit against the construction surface it replaced —
-//! `Simulator::new(kind.build(), ..)` and `Cache::new` — across the
-//! whole [`PolicyKind::LEGACY`] roster.
+//! The simulator has two entry points: `Simulator::from_spec` and
+//! `Simulator::new` over a built policy (the only way to run a policy a
+//! spec cannot name). A spec with the default `All` admission half is
+//! pinned bit-for-bit against `Simulator::new(kind.build(), ..)` across
+//! the whole [`PolicyKind::ALL`] roster.
 
-use webcache_core::{AdmissionSpec, Cache, PolicyKind, PolicySpec};
+use webcache_core::{AdmissionSpec, PolicyKind, PolicySpec};
 use webcache_sim::{SimulationConfig, Simulator};
 use webcache_trace::{ByteSize, DocId, DocumentType, Request, Timestamp, Trace};
 
@@ -34,13 +34,13 @@ fn fixed_trace() -> Trace {
 }
 
 /// `Simulator::from_spec` with a bare kind (admission `All`) reproduces
-/// the legacy `Simulator::new(kind.build(), ..)` report bit-for-bit —
-/// every counter, every type, every occupancy sample — for each legacy
-/// policy across a capacity grid.
+/// the `Simulator::new(kind.build(), ..)` report bit-for-bit — every
+/// counter, every type, every occupancy sample — for each policy across
+/// a capacity grid.
 #[test]
 fn from_spec_matches_legacy_simulator_entry_point() {
     let trace = fixed_trace();
-    for kind in PolicyKind::LEGACY {
+    for kind in PolicyKind::ALL {
         for capacity in [20_000u64, 200_000, 2_000_000] {
             let config = SimulationConfig::new(ByteSize::new(capacity))
                 .with_warmup_fraction(0.2)
@@ -50,49 +50,6 @@ fn from_spec_matches_legacy_simulator_entry_point() {
             assert_eq!(spec.admission, AdmissionSpec::All, "{kind:?}");
             let modern = Simulator::from_spec(spec, config).run(&trace);
             assert_eq!(legacy, modern, "{kind:?} diverged at capacity {capacity}");
-        }
-    }
-}
-
-/// An `All`-admission spec must not clobber an admission rule the
-/// config already carries: `from_spec` folds the spec's admission half
-/// over the config only when the spec names one.
-#[test]
-fn all_admission_spec_preserves_config_carried_rule() {
-    let trace = fixed_trace();
-    for kind in PolicyKind::LEGACY {
-        let config = SimulationConfig::new(ByteSize::new(100_000))
-            .with_admission_rule(AdmissionSpec::SecondHit(16));
-        let legacy = Simulator::new(kind.build(), config).run(&trace);
-        let modern = Simulator::from_spec(kind, config).run(&trace);
-        assert_eq!(legacy, modern, "{kind:?} diverged under config admission");
-        assert_eq!(modern.policy, format!("2HIT:16+{}", kind.label()));
-    }
-}
-
-/// `Cache::with_spec` on a bare kind is the legacy `Cache::new`: the
-/// same access/insert stream produces the same hit sequence, the same
-/// eviction victims in the same order, and the same label.
-#[test]
-fn with_spec_drives_identically_to_cache_new() {
-    let trace = fixed_trace();
-    let capacity = ByteSize::new(150_000);
-    for kind in PolicyKind::LEGACY {
-        let mut legacy = Cache::new(capacity, kind.build());
-        let mut modern = Cache::with_spec(capacity, kind);
-        assert_eq!(legacy.policy_label(), modern.policy_label(), "{kind:?}");
-        for (i, req) in trace.iter().enumerate() {
-            let hit_legacy = legacy.access(req.doc);
-            let hit_modern = modern.access(req.doc);
-            assert_eq!(hit_legacy, hit_modern, "{kind:?} hit diverged at {i}");
-            if !hit_legacy {
-                let out_legacy = legacy.insert(req.doc, req.doc_type, req.size);
-                let out_modern = modern.insert(req.doc, req.doc_type, req.size);
-                assert_eq!(
-                    out_legacy.evicted, out_modern.evicted,
-                    "{kind:?} victims diverged at {i}"
-                );
-            }
         }
     }
 }

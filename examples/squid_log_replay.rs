@@ -75,7 +75,7 @@ fn main() {
 
     // Replay through a 1 MiB proxy cache under GD*(P).
     let report = Simulator::new(
-        PolicyKind::GdStar(CostModel::Packet).instantiate(),
+        PolicyKind::GdStar(CostModel::Packet).build(),
         SimulationConfig::new(ByteSize::from_mib(1)),
     )
     .run(&trace);

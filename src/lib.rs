@@ -30,7 +30,7 @@
 //!
 //! // 2. Simulate an LRU cache of 4 MiB over it.
 //! let config = SimulationConfig::new(ByteSize::from_mib(4));
-//! let report = Simulator::new(PolicyKind::Lru.instantiate(), config).run(&trace);
+//! let report = Simulator::from_spec(PolicyKind::Lru, config).run(&trace);
 //!
 //! // 3. Inspect overall and per-type hit rates.
 //! let overall = report.overall();

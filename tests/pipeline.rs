@@ -59,7 +59,7 @@ fn squid_pipeline_end_to_end() {
     assert_eq!(trace.distinct_documents(), 10);
 
     let report = Simulator::new(
-        PolicyKind::Lru.instantiate(),
+        PolicyKind::Lru.build(),
         SimulationConfig::new(ByteSize::from_kib(64)).with_warmup_fraction(0.0),
     )
     .run(&trace);
@@ -84,7 +84,7 @@ fn transforms_compose_with_analysis() {
 
     let front = transform::head(&trace, trace.len() / 2);
     let report = Simulator::new(
-        PolicyKind::LfuDa.instantiate(),
+        PolicyKind::LfuDa.build(),
         SimulationConfig::new(trace.overall_size().scale(0.1)),
     )
     .run(&front);
@@ -108,7 +108,7 @@ fn stack_distance_predicts_uniform_lru() {
     for capacity_docs in [50usize, 500, 5_000] {
         let predicted = stack.lru_hit_rate(capacity_docs);
         let report = Simulator::new(
-            PolicyKind::Lru.instantiate(),
+            PolicyKind::Lru.build(),
             SimulationConfig::new(ByteSize::from_kib(capacity_docs as u64))
                 .with_warmup_fraction(0.0),
         )
@@ -139,7 +139,7 @@ fn extensions_compose() {
     assert!(hierarchy.combined_hit_rate() <= 1.0);
 
     let single = Simulator::new(
-        PolicyKind::GdStar(CostModel::Constant).instantiate(),
+        PolicyKind::GdStar(CostModel::Constant).build(),
         SimulationConfig::new(trace.overall_size().scale(0.02)),
     )
     .run(&trace);
@@ -160,7 +160,7 @@ fn gdsf_equals_gdstar_beta_one_end_to_end() {
     )
     .run(&trace);
     let gdsf = Simulator::new(
-        PolicyKind::Gdsf(CostModel::Packet).instantiate(),
+        PolicyKind::Gdsf(CostModel::Packet).build(),
         SimulationConfig::new(capacity),
     )
     .run(&trace);
