@@ -12,7 +12,10 @@ use webcache_sim::{
     ProfileObserver, SimulationConfig, Simulator, WindowSpec, WindowedMetrics,
 };
 use webcache_stats::{Table, TraceCharacterization};
-use webcache_trace::{format as trace_format, preprocess, squid, ByteSize, DocumentType, Trace};
+use webcache_trace::{
+    format as trace_format, format_bin, preprocess, squid, ByteSize, DenseTrace, DocumentType,
+    Trace,
+};
 use webcache_workload::WorkloadProfile;
 
 use crate::args::Args;
@@ -31,12 +34,24 @@ fn parse_spec(name: &str) -> Result<PolicySpec, CliError> {
 }
 
 /// Loads a trace, auto-detecting the binary format by its magic.
-pub(crate) fn load_trace(path: &str) -> Result<Trace, CliError> {
+fn load_trace(path: &str) -> Result<Trace, CliError> {
     let bytes = fs::read(path)?;
-    if bytes.starts_with(&webcache_trace::format_bin::MAGIC) {
-        Ok(webcache_trace::format_bin::from_bytes(&bytes)?)
+    if bytes.starts_with(&format_bin::MAGIC) {
+        Ok(format_bin::from_bytes(&bytes)?)
     } else {
         Ok(trace_format::read_trace(bytes.as_slice())?)
+    }
+}
+
+/// Loads a trace file straight into its dense view, auto-detecting the
+/// binary format by its magic: one decode-and-intern pass, no [`Trace`].
+/// The loader of every command that only replays.
+pub(crate) fn load_dense(path: &str) -> Result<DenseTrace, CliError> {
+    let bytes = fs::read(path)?;
+    if bytes.starts_with(&format_bin::MAGIC) {
+        Ok(DenseTrace::from_wctb_bytes(&bytes)?)
+    } else {
+        Ok(DenseTrace::from_text_bytes(&bytes)?)
     }
 }
 
@@ -68,7 +83,7 @@ fn encode_trace(trace: &Trace, format: Option<&str>, out: &str) -> Result<Vec<u8
             trace_format::write_trace(&mut buf, trace)?;
             Ok(buf)
         }
-        "bin" => Ok(webcache_trace::format_bin::to_bytes(trace)),
+        "bin" => Ok(format_bin::to_bytes(trace)),
         other => Err(usage(format!("unknown format `{other}` (text|bin)"))),
     }
 }
@@ -84,6 +99,16 @@ fn input_trace(args: &Args) -> Result<(Trace, String), CliError> {
     match (args.get("trace"), args.get("squid")) {
         (Some(path), None) => Ok((load_trace(path)?, path.to_owned())),
         (None, Some(path)) => Ok((load_squid(path)?.0, path.to_owned())),
+        _ => Err(usage("give exactly one of --trace FILE or --squid FILE")),
+    }
+}
+
+/// The dense view of `--trace FILE` or `--squid FILE`, for commands that
+/// only replay.
+fn input_dense(args: &Args) -> Result<DenseTrace, CliError> {
+    match (args.get("trace"), args.get("squid")) {
+        (Some(path), None) => load_dense(path),
+        (None, Some(path)) => Ok(DenseTrace::build(&load_squid(path)?.0)),
         _ => Err(usage("give exactly one of --trace FILE or --squid FILE")),
     }
 }
@@ -128,20 +153,31 @@ pub fn characterize(args: &Args) -> Result<String, CliError> {
 
 /// `webcache simulate`.
 pub fn simulate(args: &Args) -> Result<String, CliError> {
-    let (trace, _) = input_trace(args)?;
-    let policy_name = args.require("policy")?;
-    let is_oracle = policy_name.eq_ignore_ascii_case("oracle")
-        || policy_name.eq_ignore_ascii_case("clairvoyant");
-    let policy = if is_oracle {
-        None
+    /// What one run replays.
+    enum Replay {
+        /// The clairvoyant oracle: the independent reference, on the
+        /// full [`Trace`].
+        Oracle(Trace),
+        /// A spec policy on the dense view.
+        Spec(PolicySpec, DenseTrace),
+    }
+    let is_oracle = args.get("policy").is_some_and(|name| {
+        name.eq_ignore_ascii_case("oracle") || name.eq_ignore_ascii_case("clairvoyant")
+    });
+    let replay = if is_oracle {
+        Replay::Oracle(input_trace(args)?.0)
     } else {
-        Some(parse_spec(policy_name)?)
+        let dense = input_dense(args)?;
+        Replay::Spec(parse_spec(args.require("policy")?)?, dense)
     };
     let cap_spec = match args.get("capacity") {
         Some(raw) => parse_capacity(raw).map_err(usage)?,
         None => CapacitySpec::FractionOfTrace(0.05),
     };
-    let capacity = cap_spec.resolve(trace.overall_size());
+    let capacity = cap_spec.resolve(match &replay {
+        Replay::Oracle(trace) => trace.overall_size(),
+        Replay::Spec(_, dense) => dense.overall_size(),
+    });
     let warmup: f64 = args.get_parsed("warmup")?.unwrap_or(0.10);
     if !(0.0..1.0).contains(&warmup) {
         return Err(usage("--warmup expects a fraction in [0, 1)"));
@@ -153,16 +189,16 @@ pub fn simulate(args: &Args) -> Result<String, CliError> {
         .warmup_fraction(warmup)
         .occupancy_samples(occupancy)
         .build();
-    let (label, by_type, occupancy_series) = match policy {
-        Some(spec) => {
-            let report = Simulator::from_spec(spec, config).run(&trace);
+    let (label, by_type, occupancy_series) = match replay {
+        Replay::Spec(spec, dense) => {
+            let report = Simulator::from_spec(spec, config).run_dense(&dense);
             (
                 report.policy.clone(),
                 *report.by_type(),
                 Some(report.occupancy),
             )
         }
-        None => ("clairvoyant".to_owned(), clairvoyant(&trace, &config), None),
+        Replay::Oracle(trace) => ("clairvoyant".to_owned(), clairvoyant(&trace, &config), None),
     };
 
     let mut table = Table::new(vec![
@@ -260,12 +296,12 @@ pub fn hierarchy(args: &Args) -> Result<String, CliError> {
 
 /// `webcache sweep`.
 pub fn sweep(args: &Args) -> Result<String, CliError> {
-    let (trace, _) = input_trace(args)?;
+    let dense = input_dense(args)?;
     let policies = parse_policies(args)?;
     let capacities: Vec<ByteSize> = match args.get("fractions") {
-        None => CacheSizeSweep::paper_capacities(&trace),
+        None => CacheSizeSweep::paper_capacities(&dense),
         Some(list) => {
-            let overall = trace.overall_size();
+            let overall = dense.overall_size();
             list.split(',')
                 .map(|f| {
                     let frac: f64 = f
@@ -290,7 +326,7 @@ pub fn sweep(args: &Args) -> Result<String, CliError> {
         let threads = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
-        sweep.run_with_progress(&trace, threads, |p| {
+        sweep.run_with_progress(&dense, threads, |p| {
             eprintln!(
                 "[{}/{}] worker {} finished {} @ {} ({:.0} req/s)",
                 p.completed,
@@ -302,7 +338,7 @@ pub fn sweep(args: &Args) -> Result<String, CliError> {
             );
         })
     } else {
-        sweep.run(&trace)
+        sweep.run(&dense)
     };
     if args.switch("csv") {
         return Ok(sweep_csv(&report));
@@ -321,13 +357,14 @@ pub fn sweep(args: &Args) -> Result<String, CliError> {
 
 /// `webcache stats`.
 pub fn stats(args: &Args) -> Result<String, CliError> {
-    let (trace, _) = input_trace(args)?;
+    let dense = input_dense(args)?;
     let policy = parse_spec(args.require("policy")?)?;
     let cap_spec = match args.get("capacity") {
         Some(raw) => parse_capacity(raw).map_err(usage)?,
         None => CapacitySpec::FractionOfTrace(0.05),
     };
-    let capacity = cap_spec.resolve(trace.overall_size());
+    let overall = dense.overall_size();
+    let capacity = cap_spec.resolve(overall);
     let warmup: f64 = args.get_parsed("warmup")?.unwrap_or(0.10);
     if !(0.0..1.0).contains(&warmup) {
         return Err(usage("--warmup expects a fraction in [0, 1)"));
@@ -340,9 +377,7 @@ pub fn stats(args: &Args) -> Result<String, CliError> {
         (Some(0), None) => return Err(usage("--window must be at least 1 request")),
         (Some(n), None) => WindowSpec::Requests(n),
         (None, Some(raw)) => {
-            let bytes = parse_capacity(raw)
-                .map_err(usage)?
-                .resolve(trace.overall_size());
+            let bytes = parse_capacity(raw).map_err(usage)?.resolve(overall);
             if bytes.is_zero() {
                 return Err(usage("--window-bytes must be positive"));
             }
@@ -350,8 +385,8 @@ pub fn stats(args: &Args) -> Result<String, CliError> {
         }
         (None, None) => {
             // Default: a tenth of the measured region per window.
-            let warmup_end = ((trace.len() as f64) * warmup).floor() as usize;
-            let measured = trace.len().saturating_sub(warmup_end);
+            let warmup_end = ((dense.len() as f64) * warmup).floor() as usize;
+            let measured = dense.len().saturating_sub(warmup_end);
             WindowSpec::Requests(((measured / 10).max(1)) as u64)
         }
     };
@@ -361,7 +396,7 @@ pub fn stats(args: &Args) -> Result<String, CliError> {
         .warmup_fraction(warmup)
         .build();
     let mut metrics = WindowedMetrics::new(window_spec);
-    Simulator::from_spec(policy, config).run_observed(&trace, &mut metrics);
+    Simulator::from_spec(policy, config).run_dense_observed(&dense, &mut metrics);
 
     let want_json = args.switch("json");
     let want_csv = args.switch("csv");

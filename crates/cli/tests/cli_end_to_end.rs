@@ -690,3 +690,70 @@ fn markdown_switch_renders_pipes() {
     assert!(out.contains("| :-- |"), "{out}");
     fs::remove_file(path).ok();
 }
+
+#[test]
+fn simulate_and_sweep_are_identical_across_trace_encodings() {
+    let text_path = generate_trace("xfmt.wct");
+    let bin_path = temp_path("xfmt.wctb");
+    run(&argv(&format!(
+        "convert --trace {} --out {}",
+        text_path.display(),
+        bin_path.display()
+    )))
+    .unwrap();
+    // The same requests with CRLF line ends, tab separators, and comment
+    // and blank lines between them.
+    let text = fs::read_to_string(&text_path).unwrap();
+    let mut padded = String::from("# padded copy\r\n\r\n");
+    for (i, line) in text.lines().enumerate() {
+        padded.push_str(&line.replace(' ', "\t"));
+        padded.push_str(if i % 3 == 0 {
+            "\t\r\n# note\r\n"
+        } else {
+            "\r\n"
+        });
+    }
+    let padded_path = temp_path("xfmt-padded.wct");
+    fs::write(&padded_path, padded).unwrap();
+
+    let outputs = |command: &str| -> Vec<String> {
+        [&text_path, &padded_path, &bin_path]
+            .iter()
+            .map(|path| {
+                let cmd = command.replace("TRACE", &path.display().to_string());
+                run(&argv(&cmd)).unwrap_or_else(|e| panic!("`{cmd}`: {e}"))
+            })
+            .collect()
+    };
+    for policy in ["lru", "gd*(p)", "tinylfu+slru", "oracle"] {
+        let out = outputs(&format!("simulate --trace TRACE --policy {policy}"));
+        assert_eq!(out[0], out[1], "{policy}: padded text differs");
+        assert_eq!(out[0], out[2], "{policy}: wctb differs");
+    }
+    let out = outputs("sweep --trace TRACE --fractions 0.01,0.05");
+    assert_eq!(out[0], out[1], "sweep: padded text differs");
+    assert_eq!(out[0], out[2], "sweep: wctb differs");
+
+    fs::remove_file(text_path).ok();
+    fs::remove_file(padded_path).ok();
+    fs::remove_file(bin_path).ok();
+}
+
+#[test]
+fn invalid_utf8_in_a_trace_names_its_line() {
+    let path = temp_path("bad-utf8.wct");
+    fs::write(&path, b"1 5 I 10\n2 \xff 6 I 10\n").unwrap();
+    let output = std::process::Command::new(env!("CARGO_BIN_EXE_webcache"))
+        .args(["simulate", "--trace"])
+        .arg(&path)
+        .args(["--policy", "lru"])
+        .output()
+        .unwrap();
+    let stderr = String::from_utf8_lossy(&output.stderr);
+    assert_eq!(output.status.code(), Some(2), "{stderr}");
+    assert!(
+        stderr.contains("parse error at line 2: invalid UTF-8"),
+        "{stderr}"
+    );
+    fs::remove_file(path).ok();
+}

@@ -1,5 +1,6 @@
 //! Policy × cache-size sweeps (the engine behind Figures 2 and 3).
 
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
@@ -156,6 +157,25 @@ pub struct SweepProgress {
     pub requests_per_sec: f64,
 }
 
+/// A trace a sweep can replay: a [`DenseTrace`] as it is, or a
+/// [`Trace`] the sweep interns once.
+pub trait SweepTrace {
+    /// The dense view: borrowed, or built from the trace.
+    fn dense(&self) -> Cow<'_, DenseTrace>;
+}
+
+impl SweepTrace for DenseTrace {
+    fn dense(&self) -> Cow<'_, DenseTrace> {
+        Cow::Borrowed(self)
+    }
+}
+
+impl SweepTrace for Trace {
+    fn dense(&self) -> Cow<'_, DenseTrace> {
+        Cow::Owned(DenseTrace::build(self))
+    }
+}
+
 /// A grid of simulations: every configured policy at every capacity.
 #[derive(Debug, Clone)]
 pub struct CacheSizeSweep {
@@ -216,8 +236,8 @@ impl CacheSizeSweep {
 
     /// Capacities at the paper's relative cache sizes
     /// ([`PAPER_SIZE_FRACTIONS`]) of `trace`'s overall size.
-    pub fn paper_capacities(trace: &Trace) -> Vec<ByteSize> {
-        let overall = trace.overall_size();
+    pub fn paper_capacities(trace: &impl SweepTrace) -> Vec<ByteSize> {
+        let overall = trace.dense().overall_size();
         PAPER_SIZE_FRACTIONS
             .iter()
             .map(|&f| ByteSize::new((overall.as_f64() * f).round().max(1.0) as u64))
@@ -227,10 +247,11 @@ impl CacheSizeSweep {
     /// Runs the grid, using up to `threads` worker threads.
     ///
     /// Each grid cell is independent, so runs are embarrassingly
-    /// parallel. The [`DenseTrace`] view is built **once** and shared
-    /// read-only across the workers; each replays it against its own
-    /// cache through the hash-free dense path.
-    pub fn run_with_threads(&self, trace: &Trace, threads: usize) -> SweepReport {
+    /// parallel. The [`DenseTrace`] view is built at most **once** (not
+    /// at all when `trace` is one) and shared read-only across the
+    /// workers; each replays it against its own cache through the
+    /// hash-free dense path.
+    pub fn run_with_threads(&self, trace: &impl SweepTrace, threads: usize) -> SweepReport {
         self.run_with_progress(trace, threads, |_| {})
     }
 
@@ -242,7 +263,12 @@ impl CacheSizeSweep {
     /// cheap. Callback ordering across workers is non-deterministic, but
     /// `completed` is a consistent running count and reaches `total`
     /// exactly once.
-    pub fn run_with_progress<F>(&self, trace: &Trace, threads: usize, progress: F) -> SweepReport
+    pub fn run_with_progress<F>(
+        &self,
+        trace: &impl SweepTrace,
+        threads: usize,
+        progress: F,
+    ) -> SweepReport
     where
         F: Fn(&SweepProgress) + Sync,
     {
@@ -261,7 +287,7 @@ impl CacheSizeSweep {
     /// align in the exported chrome trace.
     pub fn run_with_progress_recorded<F>(
         &self,
-        trace: &Trace,
+        trace: &impl SweepTrace,
         threads: usize,
         progress: F,
         recorders: &mut [TraceRecorder],
@@ -269,9 +295,10 @@ impl CacheSizeSweep {
     where
         F: Fn(&SweepProgress) + Sync,
     {
-        let dense = DenseTrace::build(trace);
+        let dense = trace.dense();
+        let dense: &DenseTrace = &dense;
         let sharded = (self.shards > 1).then(|| {
-            crate::concurrent::ShardedTrace::build(&dense, self.shards)
+            crate::concurrent::ShardedTrace::build(dense, self.shards)
                 .expect("with_shards validated the count")
         });
         let mut tasks: Vec<(PolicySpec, ByteSize)> = Vec::new();
@@ -285,7 +312,7 @@ impl CacheSizeSweep {
         let results: Mutex<Vec<SweepPoint>> = Mutex::new(Vec::with_capacity(tasks.len()));
         let workers = threads.clamp(1, tasks.len());
         let total = tasks.len();
-        let requests = trace.len();
+        let requests = dense.len();
         // Hand each worker its own recorder by value; missing tails run
         // unrecorded.
         let mut recorders: Vec<Option<&mut TraceRecorder>> =
@@ -299,7 +326,6 @@ impl CacheSizeSweep {
                 let done = &done;
                 let results = &results;
                 let progress = &progress;
-                let dense = &dense;
                 let sharded = &sharded;
                 scope.spawn(move || loop {
                     let i = next.fetch_add(1, Ordering::Relaxed);
@@ -363,7 +389,7 @@ impl CacheSizeSweep {
     }
 
     /// Runs the grid with one worker per available CPU core.
-    pub fn run(&self, trace: &Trace) -> SweepReport {
+    pub fn run(&self, trace: &impl SweepTrace) -> SweepReport {
         let threads = std::thread::available_parallelism()
             .map(|n| n.get())
             .unwrap_or(1);
@@ -550,6 +576,57 @@ mod tests {
         let overall = trace.overall_size().as_f64();
         assert_eq!(caps[0].as_u64(), (overall * 0.005).round() as u64);
         assert!(caps.windows(2).all(|w| w[0] < w[1]));
+    }
+
+    proptest::proptest! {
+        /// On traces with partial transfers (a later, smaller size),
+        /// zero-byte documents and modifications (a larger size), the
+        /// capacities from a `Trace` and from its dense view agree with
+        /// the fractions of the sort-based total.
+        #[test]
+        fn paper_capacities_agree_with_the_dense_total(
+            requests in proptest::collection::vec((0u64..10, 0u8..4, 0u64..4_000), 1..80),
+        ) {
+            let trace: Trace = requests
+                .into_iter()
+                .map(|(doc, kind, x)| {
+                    let full = 500 + doc * 997;
+                    let size = match kind {
+                        0 => full,
+                        1 => x % full,
+                        2 => 0,
+                        _ => full + x,
+                    };
+                    Request::new(
+                        Timestamp::ZERO,
+                        DocId::new(doc),
+                        DocumentType::ALL[doc as usize % 5],
+                        ByteSize::new(size),
+                    )
+                })
+                .collect();
+            let dense = DenseTrace::build(&trace);
+            let overall = trace.overall_size().as_f64();
+            let expected: Vec<ByteSize> = PAPER_SIZE_FRACTIONS
+                .iter()
+                .map(|&f| ByteSize::new((overall * f).round().max(1.0) as u64))
+                .collect();
+            proptest::prop_assert_eq!(CacheSizeSweep::paper_capacities(&trace), expected.clone());
+            proptest::prop_assert_eq!(CacheSizeSweep::paper_capacities(&dense), expected);
+        }
+    }
+
+    #[test]
+    fn sweeping_the_dense_view_equals_sweeping_the_trace() {
+        let trace = tiny_trace();
+        let sweep = CacheSizeSweep::new(
+            PolicyKind::PAPER_CONSTANT.to_vec(),
+            vec![ByteSize::new(3_000), ByteSize::new(9_000)],
+        );
+        assert_eq!(
+            sweep.run_with_threads(&DenseTrace::build(&trace), 2),
+            sweep.run_with_threads(&trace, 2)
+        );
     }
 
     #[test]

@@ -65,7 +65,7 @@ pub use concurrent::{
     ConcurrentPassSummary, ConcurrentReport, ConcurrentSimulator, ShardSummary, ShardedReplayLoop,
     ShardedTrace,
 };
-pub use experiment::{CacheSizeSweep, SweepPoint, SweepProgress, SweepReport};
+pub use experiment::{CacheSizeSweep, SweepPoint, SweepProgress, SweepReport, SweepTrace};
 pub use flight::FlightObserver;
 pub use hierarchy::{simulate_hierarchy, HierarchyConfig, HierarchyReport};
 pub use latency::{LatencyEstimate, LatencyModel, LinkModel};

@@ -12,11 +12,14 @@
 //! slot, and the per-request working set shrinks from 32 to 13 bytes.
 //!
 //! The view is built **once** per sweep and shared read-only across worker
-//! threads; each worker replays it against its own cache.
+//! threads; each worker replays it against its own cache. Commands that
+//! only replay build it straight from a file's bytes
+//! ([`DenseTrace::from_text_bytes`], [`DenseTrace::from_wctb_bytes`])
+//! without materializing the [`Trace`] at all.
 
 use crate::doctype::DocumentType;
 use crate::error::TraceError;
-use crate::format::type_from_char;
+use crate::format::{self, type_from_char};
 use crate::format_bin::RECORD_BYTES;
 use crate::fxhash::FxHashMap;
 use crate::record::Trace;
@@ -36,29 +39,94 @@ pub struct DenseTrace {
     distinct: usize,
 }
 
+/// Requests parsed per interning batch in [`DenseTrace::from_text_bytes`].
+///
+/// Parsing and hash probing in one loop serialize: the parse work
+/// between probes keeps the probes' cache misses from overlapping.
+/// Parsing a batch first and then interning it back to back lets them
+/// overlap again; 512 is where the gain levelled off at 1/8 DFN scale.
+const INTERN_BATCH: usize = 512;
+
+/// Hands out dense slots to document ids in first-appearance order.
+#[derive(Default)]
+struct Interner(FxHashMap<u64, u32>);
+
+impl Interner {
+    /// The slot of `doc`, handing out the next free one on first sight.
+    #[inline]
+    fn slot(&mut self, doc: u64) -> u32 {
+        let next = self.0.len() as u32;
+        *self.0.entry(doc).or_insert(next)
+    }
+
+    /// Number of slots handed out.
+    fn len(&self) -> usize {
+        self.0.len()
+    }
+}
+
 impl DenseTrace {
+    /// An empty view with room for `requests` requests.
+    fn with_capacity(requests: usize) -> Self {
+        DenseTrace {
+            docs: Vec::with_capacity(requests),
+            sizes: Vec::with_capacity(requests),
+            types: Vec::with_capacity(requests),
+            distinct: 0,
+        }
+    }
+
     /// Builds the dense view of `trace`, interning document ids in
     /// first-appearance order: the document of the first request gets
     /// slot 0, the next previously unseen document slot 1, and so on.
     pub fn build(trace: &Trace) -> Self {
         let requests = trace.requests();
-        let mut docs = Vec::with_capacity(requests.len());
-        let mut sizes = Vec::with_capacity(requests.len());
-        let mut types = Vec::with_capacity(requests.len());
-        let mut intern: FxHashMap<u64, u32> = FxHashMap::default();
+        let mut dense = DenseTrace::with_capacity(requests.len());
+        let mut interner = Interner::default();
         for request in requests {
-            let next = intern.len() as u32;
-            let slot = *intern.entry(request.doc.as_u64()).or_insert(next);
-            docs.push(slot);
-            sizes.push(request.size.as_u64());
-            types.push(request.doc_type.index() as u8);
+            dense.docs.push(interner.slot(request.doc.as_u64()));
+            dense.sizes.push(request.size.as_u64());
+            dense.types.push(request.doc_type.index() as u8);
         }
-        DenseTrace {
-            docs,
-            sizes,
-            types,
-            distinct: intern.len(),
+        dense.distinct = interner.len();
+        dense
+    }
+
+    /// Builds the dense view straight from text-format bytes (see
+    /// [`crate::format`]), with no intermediate [`Trace`].
+    ///
+    /// Lines go through the same record parser as
+    /// [`format::read_trace`], a batch of 512 requests at a time; each
+    /// batch's document ids are then interned back to back.
+    /// Equivalent to `DenseTrace::build(&format::read_trace(bytes)?)`,
+    /// errors included.
+    ///
+    /// # Errors
+    ///
+    /// The same [`TraceError::Parse`] cases as [`format::read_trace`].
+    pub fn from_text_bytes(bytes: &[u8]) -> Result<Self, TraceError> {
+        let mut dense = DenseTrace::default();
+        let mut interner = Interner::default();
+        let mut batch: Vec<u64> = Vec::with_capacity(INTERN_BATCH);
+        // A final `\n` leaves an empty last line, which parses as blank.
+        for (i, line) in bytes.split(|&b| b == b'\n').enumerate() {
+            let Some(request) = format::parse_record(line, i + 1)? else {
+                continue;
+            };
+            batch.push(request.doc.as_u64());
+            dense.sizes.push(request.size.as_u64());
+            dense.types.push(request.doc_type.index() as u8);
+            if batch.len() == INTERN_BATCH {
+                dense
+                    .docs
+                    .extend(batch.drain(..).map(|doc| interner.slot(doc)));
+            }
         }
+        dense
+            .docs
+            .extend(batch.drain(..).map(|doc| interner.slot(doc)));
+        dense.distinct = interner.len();
+        Ok(dense)
     }
 
     /// Builds the dense view straight from WCTB binary bytes
@@ -83,28 +151,33 @@ impl DenseTrace {
         // Buffers are sized from the body actually present, never from
         // the (possibly forged) header count alone.
         let (count, body) = crate::format_bin::checked_body(bytes)?;
-        let mut docs = Vec::with_capacity(count);
-        let mut sizes = Vec::with_capacity(count);
-        let mut types = Vec::with_capacity(count);
-        let mut intern: FxHashMap<u64, u32> = FxHashMap::default();
+        let mut dense = DenseTrace::with_capacity(count);
+        let mut interner = Interner::default();
         for (i, record) in body.chunks_exact(RECORD_BYTES).enumerate() {
             // record[0..8] is the timestamp: validated by presence, unused.
             let doc = u64::from_le_bytes(record[8..16].try_into().expect("8 bytes"));
             let size = u64::from_le_bytes(record[16..24].try_into().expect("8 bytes"));
             let ty = type_from_char(record[24] as char)
                 .ok_or_else(|| TraceError::parse(i + 1, format!("bad type tag {}", record[24])))?;
-            let next = intern.len() as u32;
-            let slot = *intern.entry(doc).or_insert(next);
-            docs.push(slot);
-            sizes.push(size);
-            types.push(ty.index() as u8);
+            dense.docs.push(interner.slot(doc));
+            dense.sizes.push(size);
+            dense.types.push(ty.index() as u8);
         }
-        Ok(DenseTrace {
-            docs,
-            sizes,
-            types,
-            distinct: intern.len(),
-        })
+        dense.distinct = interner.len();
+        Ok(dense)
+    }
+
+    /// The overall size of the trace: the sum over distinct documents
+    /// of the largest transfer seen for each. Equal to
+    /// [`Trace::overall_size`] of the trace this view was built from,
+    /// in one O(n) pass over per-slot maxima instead of a sort.
+    pub fn overall_size(&self) -> ByteSize {
+        let mut largest = vec![0u64; self.distinct];
+        for (&slot, &size) in self.docs.iter().zip(&self.sizes) {
+            let max = &mut largest[slot as usize];
+            *max = (*max).max(size);
+        }
+        largest.into_iter().map(ByteSize::new).sum()
     }
 
     /// Number of requests.
@@ -241,6 +314,44 @@ mod tests {
         let via_trace = DenseTrace::build(&crate::format_bin::from_bytes(&bytes).unwrap());
         assert_eq!(direct, via_trace);
         assert_eq!(direct, DenseTrace::build(&trace));
+    }
+
+    #[test]
+    fn from_text_bytes_equals_build_of_read_trace_across_batches() {
+        // Over two and a half interning batches, with comments between.
+        let trace: Trace = (0..(2 * INTERN_BATCH as u64 + 300))
+            .map(|i| {
+                Request::new(
+                    Timestamp::from_millis(i),
+                    DocId::new(i * i % 977),
+                    DocumentType::ALL[(i % 5) as usize],
+                    ByteSize::new(i % 13 * 100),
+                )
+            })
+            .collect();
+        let text = format::to_string(&trace).replace("\n1", "\n# c\n1");
+        let direct = DenseTrace::from_text_bytes(text.as_bytes()).unwrap();
+        assert_eq!(direct, DenseTrace::build(&trace));
+        assert_eq!(
+            direct,
+            DenseTrace::build(&format::read_trace(text.as_bytes()).unwrap())
+        );
+    }
+
+    #[test]
+    fn overall_size_takes_each_documents_largest_transfer() {
+        let trace: Trace = vec![
+            req(1, DocumentType::Html, 100),
+            req(2, DocumentType::Image, 0),
+            req(1, DocumentType::Html, 40),
+            req(3, DocumentType::MultiMedia, 7),
+            req(1, DocumentType::Html, 150),
+        ]
+        .into();
+        let dense = DenseTrace::build(&trace);
+        assert_eq!(dense.overall_size(), ByteSize::new(157));
+        assert_eq!(dense.overall_size(), trace.overall_size());
+        assert_eq!(DenseTrace::default().overall_size(), ByteSize::ZERO);
     }
 
     #[test]

@@ -64,53 +64,142 @@ pub fn write_trace<W: Write>(mut writer: W, trace: &Trace) -> io::Result<()> {
 
 /// Reads a trace in the compact text format.
 ///
+/// Lines are read into one reused byte buffer and parsed by the same
+/// record parser as [`DenseTrace::from_text_bytes`](crate::DenseTrace::from_text_bytes).
+///
 /// # Errors
 ///
-/// Returns [`TraceError::Parse`] for malformed lines and [`TraceError::Io`]
-/// for reader failures.
-pub fn read_trace<R: BufRead>(reader: R) -> Result<Trace, TraceError> {
+/// Returns [`TraceError::Parse`] for malformed lines (including lines
+/// that are not valid UTF-8) and [`TraceError::Io`] for reader failures.
+pub fn read_trace<R: BufRead>(mut reader: R) -> Result<Trace, TraceError> {
     let mut trace = Trace::new();
-    for (i, line) in reader.lines().enumerate() {
-        let line = line?;
-        let line_no = i + 1;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
+    let mut line = Vec::new();
+    let mut line_no = 0;
+    loop {
+        line.clear();
+        if reader.read_until(b'\n', &mut line)? == 0 {
+            return Ok(trace);
         }
-        trace.push(parse_request_line(trimmed, line_no)?);
+        line_no += 1;
+        if let Some(request) = parse_record(&line, line_no)? {
+            trace.push(request);
+        }
     }
-    Ok(trace)
 }
 
-fn parse_request_line(line: &str, line_no: usize) -> Result<Request, TraceError> {
-    let mut fields = line.split_ascii_whitespace();
-    let mut next = |name: &str| {
-        fields
-            .next()
-            .ok_or_else(|| TraceError::parse(line_no, format!("missing field `{name}`")))
+/// Parses one line of the text format; `line_no` is its 1-based
+/// position. Blank and comment lines give `Ok(None)`.
+///
+/// The grammar: the line must be valid UTF-8; leading and trailing
+/// whitespace (Unicode `White_Space`, as [`str::trim`] strips it) is
+/// ignored; an empty line or one starting with `#` is skipped. Fields
+/// are separated by runs of ASCII whitespace. The first four fields
+/// are a decimal timestamp, doc id and size around a one-byte type tag
+/// (see [`type_from_char`]); each number is an optional `+` and one or
+/// more digits that fit in a `u64`. Fields after the fourth are
+/// ignored.
+pub(crate) fn parse_record(line: &[u8], line_no: usize) -> Result<Option<Request>, TraceError> {
+    let line = if line.is_ascii() {
+        trim_ascii_white_space(line)
+    } else {
+        std::str::from_utf8(line)
+            .map_err(|_| TraceError::parse(line_no, "invalid UTF-8"))?
+            .trim()
+            .as_bytes()
     };
-    let ts: u64 = next("timestamp")?
-        .parse()
-        .map_err(|_| TraceError::parse(line_no, "bad timestamp"))?;
-    let doc: u64 = next("doc_id")?
-        .parse()
-        .map_err(|_| TraceError::parse(line_no, "bad doc id"))?;
-    let ty_field = next("type")?;
-    let ty = ty_field
-        .chars()
-        .next()
-        .and_then(type_from_char)
-        .filter(|_| ty_field.len() == 1)
-        .ok_or_else(|| TraceError::parse(line_no, format!("bad type tag `{ty_field}`")))?;
-    let size: u64 = next("size")?
-        .parse()
-        .map_err(|_| TraceError::parse(line_no, "bad size"))?;
-    Ok(Request::new(
+    if line.first().is_none_or(|&b| b == b'#') {
+        return Ok(None);
+    }
+    let mut fields = Fields(line);
+    let missing = |name: &str| TraceError::parse(line_no, format!("missing field `{name}`"));
+    let number = |field: Option<Option<u64>>, name: &str, bad: &str| match field {
+        None => Err(missing(name)),
+        Some(None) => Err(TraceError::parse(line_no, bad)),
+        Some(Some(value)) => Ok(value),
+    };
+    let ts = number(fields.number(), "timestamp", "bad timestamp")?;
+    let doc = number(fields.number(), "doc_id", "bad doc id")?;
+    let ty_field = fields.next().ok_or_else(|| missing("type"))?;
+    let ty = match ty_field {
+        &[tag] => type_from_char(tag as char),
+        _ => None,
+    }
+    .ok_or_else(|| {
+        TraceError::parse(
+            line_no,
+            format!("bad type tag `{}`", String::from_utf8_lossy(ty_field)),
+        )
+    })?;
+    let size = number(fields.number(), "size", "bad size")?;
+    Ok(Some(Request::new(
         Timestamp::from_millis(ts),
         DocId::new(doc),
         ty,
         ByteSize::new(size),
-    ))
+    )))
+}
+
+/// [`str::trim`] of an ASCII line: strips the ASCII `White_Space`
+/// bytes, which include the vertical tab that
+/// [`u8::is_ascii_whitespace`] leaves out.
+fn trim_ascii_white_space(line: &[u8]) -> &[u8] {
+    let white = |b: &u8| matches!(b, b'\t'..=b'\r' | b' ');
+    let start = line.iter().position(|b| !white(b)).unwrap_or(line.len());
+    let end = line
+        .iter()
+        .rposition(|b| !white(b))
+        .map_or(start, |i| i + 1);
+    &line[start..end]
+}
+
+/// The fields of a trimmed line: runs of bytes between ASCII
+/// whitespace, as [`str::split_ascii_whitespace`] yields them.
+struct Fields<'a>(&'a [u8]);
+
+impl<'a> Fields<'a> {
+    /// The next field, or `None` past the last.
+    fn next(&mut self) -> Option<&'a [u8]> {
+        let rest = self.0.trim_ascii_start();
+        if rest.is_empty() {
+            return None;
+        }
+        let end = rest
+            .iter()
+            .position(u8::is_ascii_whitespace)
+            .unwrap_or(rest.len());
+        self.0 = &rest[end..];
+        Some(&rest[..end])
+    }
+
+    /// The next field as a number, scanned once: `None` past the last
+    /// field, `Some(None)` when the field is not what
+    /// [`u64::from_str`](std::str::FromStr) accepts (an optional `+`
+    /// and one or more digits that fit in a `u64`).
+    fn number(&mut self) -> Option<Option<u64>> {
+        let rest = self.0.trim_ascii_start();
+        let start = usize::from(*rest.first()? == b'+');
+        let mut value = 0u64;
+        let mut end = start;
+        while let Some(&b) = rest.get(end) {
+            let digit = b.wrapping_sub(b'0');
+            if digit > 9 {
+                if b.is_ascii_whitespace() {
+                    break;
+                }
+                return Some(None);
+            }
+            let Some(next) = value
+                .checked_mul(10)
+                .and_then(|v| v.checked_add(u64::from(digit)))
+            else {
+                return Some(None);
+            };
+            value = next;
+            end += 1;
+        }
+        self.0 = &rest[end..];
+        Some((end > start).then_some(value))
+    }
 }
 
 /// Serializes a trace to an in-memory string (convenience for tests and

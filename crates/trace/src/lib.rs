@@ -49,6 +49,8 @@ pub mod format_bin;
 pub mod fxhash;
 pub mod preprocess;
 pub mod record;
+#[cfg(test)]
+mod reference;
 pub mod squid;
 pub mod status;
 pub mod transform;

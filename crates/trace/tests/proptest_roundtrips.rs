@@ -5,7 +5,7 @@ use proptest::prelude::*;
 
 use webcache_trace::format;
 use webcache_trace::squid;
-use webcache_trace::{ByteSize, DocId, DocumentType, Request, Timestamp, Trace};
+use webcache_trace::{ByteSize, DenseTrace, DocId, DocumentType, Request, Timestamp, Trace};
 
 fn arb_doc_type() -> impl Strategy<Value = DocumentType> {
     prop::sample::select(DocumentType::ALL.to_vec())
@@ -30,6 +30,30 @@ fn arb_request() -> impl Strategy<Value = Request> {
 
 fn arb_trace() -> impl Strategy<Value = Trace> {
     prop::collection::vec(arb_request(), 0..200).prop_map(Trace::from)
+}
+
+/// Traces over a few documents whose requests repeat with the full
+/// size, a partial transfer (a later, smaller size), zero bytes, a
+/// modification (a larger size), or a size near `u64::MAX` so the total
+/// saturates.
+fn arb_sized_trace() -> impl Strategy<Value = Trace> {
+    let request = (0u64..12, 0u8..5, 0u64..10_000).prop_map(|(doc, kind, x)| {
+        let full = doc * 7_919 % 10_000;
+        let size = match kind {
+            0 => full,
+            1 => x % (full + 1),
+            2 => 0,
+            3 => full + x,
+            _ => u64::MAX - x,
+        };
+        Request::new(
+            Timestamp::ZERO,
+            DocId::new(1_000 + doc),
+            DocumentType::ALL[(doc % 5) as usize],
+            ByteSize::new(size),
+        )
+    });
+    prop::collection::vec(request, 0..60).prop_map(Trace::from)
 }
 
 proptest! {
@@ -60,6 +84,12 @@ proptest! {
         // transfer maxima, and 0 iff empty.
         prop_assert_eq!(trace.overall_size().is_zero(), trace.is_empty() ||
             trace.iter().all(|r| r.size.is_zero()));
+    }
+
+    /// The dense view's O(n) total size equals the sort-based one.
+    #[test]
+    fn dense_overall_size_matches_trace(trace in arb_sized_trace()) {
+        prop_assert_eq!(DenseTrace::build(&trace).overall_size(), trace.overall_size());
     }
 
     /// The Squid parser never panics on arbitrary input lines.
