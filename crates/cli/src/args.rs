@@ -24,6 +24,13 @@ pub enum ArgError {
     Duplicate(String),
     /// A required flag is absent.
     Missing(&'static str),
+    /// A flag the subcommand does not declare.
+    Unknown {
+        /// The flag name.
+        flag: String,
+        /// The closest declared flag.
+        nearest: Option<String>,
+    },
     /// A flag's value failed to parse.
     Invalid {
         /// The flag name.
@@ -39,6 +46,13 @@ impl fmt::Display for ArgError {
             ArgError::Unexpected(tok) => write!(f, "unexpected argument `{tok}`"),
             ArgError::Duplicate(flag) => write!(f, "flag `--{flag}` given twice"),
             ArgError::Missing(flag) => write!(f, "missing required flag `--{flag}`"),
+            ArgError::Unknown { flag, nearest } => {
+                write!(f, "unknown flag `--{flag}`")?;
+                match nearest {
+                    Some(near) => write!(f, " (nearest known flag: `--{near}`)"),
+                    None => Ok(()),
+                }
+            }
             ArgError::Invalid { flag, message } => {
                 write!(f, "bad value for `--{flag}`: {message}")
             }
@@ -115,6 +129,34 @@ impl Args {
         Ok(args)
     }
 
+    /// Rejects any `--key value` whose key is not in `flags` (the
+    /// subcommand's value flags), naming the nearest of `flags` and
+    /// `switches`, so a typo errors instead of silently running the
+    /// default experiment. With several unknown flags the
+    /// alphabetically first is reported.
+    ///
+    /// # Errors
+    ///
+    /// [`ArgError::Unknown`] for an undeclared flag.
+    pub fn reject_unknown(&self, flags: &[&str], switches: &[&str]) -> Result<(), ArgError> {
+        let unknown = self
+            .values
+            .keys()
+            .filter(|key| !flags.contains(&key.as_str()))
+            .min();
+        match unknown {
+            None => Ok(()),
+            Some(flag) => Err(ArgError::Unknown {
+                flag: flag.clone(),
+                nearest: flags
+                    .iter()
+                    .chain(switches)
+                    .min_by_key(|known| edit_distance(flag, known))
+                    .map(|known| (*known).to_owned()),
+            }),
+        }
+    }
+
     /// An optional string value (the first occurrence, for repeatable
     /// flags).
     pub fn get(&self, flag: &str) -> Option<&str> {
@@ -161,6 +203,22 @@ impl Args {
             }),
         }
     }
+}
+
+/// Levenshtein distance between two flag names, by bytes.
+fn edit_distance(a: &str, b: &str) -> usize {
+    let b = b.as_bytes();
+    let mut row: Vec<usize> = (0..=b.len()).collect();
+    for (i, &ca) in a.as_bytes().iter().enumerate() {
+        let mut diagonal = row[0];
+        row[0] = i + 1;
+        for (j, &cb) in b.iter().enumerate() {
+            let substitute = diagonal + usize::from(ca != cb);
+            diagonal = row[j + 1];
+            row[j + 1] = substitute.min(row[j] + 1).min(diagonal + 1);
+        }
+    }
+    row[b.len()]
 }
 
 #[cfg(test)]
@@ -218,6 +276,31 @@ mod tests {
             Args::parse_with_repeats(&toks("--seed 1 --seed 2"), &[], &["policy"]).unwrap_err(),
             ArgError::Duplicate("seed".into())
         );
+    }
+
+    #[test]
+    fn unknown_flags_name_the_nearest_declared_flag() {
+        let a = Args::parse(&toks("--trace t.wct --fraction 0"), &["csv"]).unwrap();
+        assert_eq!(a.reject_unknown(&["trace", "fraction"], &["csv"]), Ok(()));
+        let err = a
+            .reject_unknown(&["trace", "policies", "fractions"], &["csv"])
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ArgError::Unknown {
+                flag: "fraction".into(),
+                nearest: Some("fractions".into()),
+            }
+        );
+        assert!(err.to_string().contains("`--fractions`"), "{err}");
+        assert_eq!(
+            a.reject_unknown(&[], &[]).unwrap_err().to_string(),
+            "unknown flag `--fraction`",
+            "the alphabetically first unknown flag, no candidates"
+        );
+        assert_eq!(edit_distance("", "abc"), 3);
+        assert_eq!(edit_distance("kitten", "sitting"), 3);
+        assert_eq!(edit_distance("csv", "csv"), 0);
     }
 
     #[test]

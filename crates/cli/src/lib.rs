@@ -145,11 +145,12 @@ subcommands:
                policy reason payloads; with --bundle-dir, an anomaly
                warning writes a post-mortem bundle (flight.jsonl +
                registry.json + manifest.json, at most --max-bundles,
-               default 8); --shards N (power of two) with --clients M
-               replays through the concurrent sharded engine and
-               exports per-shard balance metrics (per-event observers
-               are single-stream and stay off; flight recording stays
-               on, without reason payloads); modeled per-request
+               default 8); --shards N (power of two, default 1) with
+               --clients M replays through the concurrent sharded
+               engine and exports per-shard balance metrics; flight
+               recording keeps reason payloads on every shard, and the
+               single-stream observers (regret, profile, anomaly,
+               event log) run only at --shards 1; modeled per-request
                latency (two-link model: hits ride the fast local link,
                misses the slow origin link) exports p50/p90/p99/p999
                gauges per document type from windowed histograms;
@@ -198,25 +199,115 @@ pub fn run(argv: &[String]) -> Result<String, CliError> {
     let Some((command, rest)) = argv.split_first() else {
         return Ok(USAGE.to_owned());
     };
-    // Boolean switches are declared per subcommand so that a switch of
-    // one subcommand given to another errors instead of silently eating
-    // the next flag as its value.
+    // Every subcommand declares its boolean switches, so a switch of one
+    // subcommand given to another errors instead of silently eating the
+    // next flag as its value, and its value flags, so a misspelt flag
+    // errors instead of silently running the default experiment.
+    let parse = |switches: &[&str], repeatable: &[&str], flags: &[&str]| {
+        let args = Args::parse_with_repeats(rest, switches, repeatable)?;
+        args.reject_unknown(flags, switches)?;
+        Ok::<Args, ArgError>(args)
+    };
     match command.as_str() {
-        "generate" => commands::generate(&Args::parse(rest, &[])?),
-        "characterize" => commands::characterize(&Args::parse(rest, &[])?),
-        "simulate" => commands::simulate(&Args::parse(rest, &["markdown"])?),
-        "sweep" => commands::sweep(&Args::parse_with_repeats(
-            rest,
+        "generate" => commands::generate(&parse(
+            &[],
+            &[],
+            &["profile", "scale", "seed", "out", "format"],
+        )?),
+        "characterize" => commands::characterize(&parse(&[], &[], &["trace", "squid", "name"])?),
+        "simulate" => commands::simulate(&parse(
+            &["markdown"],
+            &[],
+            &[
+                "trace",
+                "squid",
+                "policy",
+                "capacity",
+                "warmup",
+                "occupancy",
+            ],
+        )?),
+        "sweep" => commands::sweep(&parse(
             &["csv", "progress"],
             &["policy"],
+            &[
+                "trace",
+                "squid",
+                "policies",
+                "policy",
+                "fractions",
+                "shards",
+            ],
         )?),
-        "stats" => commands::stats(&Args::parse(rest, &["json", "csv"])?),
-        "convert" => commands::convert(&Args::parse(rest, &[])?),
-        "hierarchy" => commands::hierarchy(&Args::parse(rest, &[])?),
-        "profile" => commands::profile(&Args::parse_with_repeats(rest, &["quick"], &["policy"])?),
-        "serve" => serve::serve(&Args::parse(rest, &["quick"])?),
-        "top" => top::top(&Args::parse(rest, &["once"])?),
-        "inspect" => forensics::inspect(&Args::parse(rest, &[])?),
+        "stats" => commands::stats(&parse(
+            &["json", "csv"],
+            &[],
+            &[
+                "trace",
+                "squid",
+                "policy",
+                "capacity",
+                "warmup",
+                "window",
+                "window-bytes",
+            ],
+        )?),
+        "convert" => commands::convert(&parse(&[], &[], &["trace", "squid", "out", "format"])?),
+        "hierarchy" => commands::hierarchy(&parse(
+            &[],
+            &[],
+            &[
+                "trace",
+                "squid",
+                "leaves",
+                "leaf-capacity",
+                "parent-capacity",
+                "leaf-policy",
+                "parent-policy",
+            ],
+        )?),
+        "profile" => commands::profile(&parse(
+            &["quick"],
+            &["policy"],
+            &[
+                "trace", "squid", "policies", "policy", "capacity", "scale", "seed", "out-dir",
+            ],
+        )?),
+        "serve" => serve::serve(&parse(
+            &["quick"],
+            &[],
+            &[
+                "trace",
+                "workload",
+                "policy",
+                "capacity",
+                "warmup",
+                "scale",
+                "seed",
+                "rate",
+                "passes",
+                "port",
+                "log-level",
+                "log-file",
+                "anomaly-window",
+                "shards",
+                "clients",
+                "flight-capacity",
+                "bundle-dir",
+                "max-bundles",
+                "slo-hit-rate",
+                "slo-p99-ms",
+                "slo-window",
+                "slo-burn",
+                "dash-history",
+            ],
+        )?),
+        "top" => top::top(&parse(
+            &["once"],
+            &[],
+            &["host", "port", "interval", "frames"],
+        )?),
+        "inspect" => forensics::inspect(&parse(&[], &[], &["bundle", "window", "top"])?),
         "help" | "--help" | "-h" => Ok(USAGE.to_owned()),
         other => Err(CliError::Usage(format!("unknown subcommand `{other}`"))),
     }
@@ -234,6 +325,17 @@ mod tests {
     fn empty_and_help_print_usage() {
         assert!(run(&[]).unwrap().contains("subcommands"));
         assert!(run(&argv("help")).unwrap().contains("policies:"));
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected_with_the_nearest_known_flag() {
+        let err = run(&argv("simulate --trace t.wctb --policy lru --bogus 1")).unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{err:?}");
+        assert!(err.to_string().contains("`--bogus`"), "{err}");
+        let err = run(&argv("sweep --trace t.wctb --fraction 0")).unwrap_err();
+        assert!(err.to_string().contains("`--fractions`"), "{err}");
+        let err = run(&argv("serve --workload dfn --quick --shard 4")).unwrap_err();
+        assert!(err.to_string().contains("`--shards`"), "{err}");
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! `webcache serve` — the live observability daemon.
 //!
-//! Runs a continuous replay ([`ReplayLoop`]) on a background thread
-//! while the calling thread answers HTTP requests. Every endpoint lives
-//! in one routing table ([`route_paths`] lists them):
+//! Runs a continuous replay ([`ShardedReplayLoop`], at `--shards N`,
+//! default 1) on a background thread while the calling thread answers
+//! HTTP requests. Every endpoint lives in one routing table
+//! ([`route_paths`] lists them):
 //!
 //! * `GET /metrics` — Prometheus text exposition of the live registry
 //!   (simulator counters, anomaly totals, regret gauges, serve-loop
@@ -31,18 +32,21 @@
 //!
 //! The replay is fed either by one fixed trace file replayed pass after
 //! pass, or by the endless [`WorkloadStream`] generator (one epoch per
-//! pass). Observers — profiling counters, the anomaly detectors, the
-//! regret tracker, the flight recorder, the structured event log —
-//! persist across passes, so EWMA baselines, rings and totals accumulate
-//! for the daemon's lifetime. With `--bundle-dir` set, an anomaly that
-//! logs a warning also snapshots the flight ring and the registry into a
-//! post-mortem bundle (see [`crate::forensics`]), rate limited by the
-//! anomaly cooldown and capped by `--max-bundles`.
+//! pass). Each shard owns one observer for the daemon's lifetime, so
+//! EWMA baselines, rings and totals accumulate across passes: the
+//! flight recorder (with the shard's policy and admission reasons), the
+//! latency observer and the SLO tracker on every shard, and the
+//! single-stream observers — profiling counters, the anomaly detectors,
+//! the regret tracker, the structured event log — when the engine has
+//! one shard. With `--bundle-dir` set, an anomaly that logs a warning
+//! also snapshots the flight rings and the registry into a post-mortem
+//! bundle (see [`crate::forensics`]), rate limited by the anomaly
+//! cooldown and capped by `--max-bundles`.
 //!
 //! Shutdown is cooperative: SIGINT (or anything else raising the shared
 //! flag) stops the HTTP accept loop within one poll interval and the
-//! replay loop at the next pass boundary; [`serve_with`] then joins both
-//! and returns a summary.
+//! replay loop within 128 requests per shard (the interrupted pass is
+//! discarded); [`serve_with`] then joins both and returns a summary.
 
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -50,17 +54,16 @@ use std::sync::atomic::AtomicBool;
 use std::sync::{Arc, Mutex};
 use std::time::{Instant, SystemTime, UNIX_EPOCH};
 
-use webcache_core::{PolicySpec, ShardLockProbe};
+use webcache_core::{PolicySpec, ShardLockProbe, ShardReasons};
 use webcache_obs::{
-    merge_sorted, Counter, FlightSink, Gauge, HttpRequest, HttpResponse, HttpServer, Level, Logger,
-    ReasonChannel, Registry, SharedRecorder, SnapshotRing,
+    merge_sorted, Counter, Gauge, HttpRequest, HttpResponse, HttpServer, Level, Logger, Registry,
+    SharedRecorder, SnapshotRing,
 };
 use webcache_sim::latency_obs::DEFAULT_LATENCY_WINDOWS;
 use webcache_sim::{
     AnomalyConfig, AnomalyObserver, AnomalyTrigger, FixedSource, FlightObserver, LatencyModel,
     LatencyObserver, LiveStatus, LogObserver, ProfileObserver, RegretConfig, RegretTracker,
-    ReplayLoop, ShardedReplayLoop, SimulationConfig, Simulator, SloConfig, SloTracker, SloTrigger,
-    TraceSource,
+    ShardedReplayLoop, SimulationConfig, SloConfig, SloTracker, SloTrigger, TraceSource,
 };
 use webcache_trace::{DenseTrace, Trace};
 use webcache_workload::{WorkloadProfile, WorkloadStream};
@@ -438,7 +441,7 @@ struct RouteContext<'a> {
     status: &'a LiveStatus,
     policy: &'a str,
     started: Instant,
-    /// One flight ring per shard (exactly one in serial mode).
+    /// One flight ring per shard.
     flight: &'a [SharedRecorder],
     /// The mini-TSDB behind `/query` and `/dash`, captured once per
     /// completed pass.
@@ -716,8 +719,8 @@ fn respond(req: &HttpRequest, ctx: &RouteContext<'_>, http_counters: &[Counter])
 /// flag, port 0, and collect the bound address from `on_ready`).
 ///
 /// Returns after the flag rises (or the HTTP listener fails): the HTTP
-/// loop stops within one poll interval, the replay loop at the current
-/// pass boundary, and both are joined.
+/// loop stops within one poll interval, the replay loop within 128
+/// requests per shard, and both are joined.
 ///
 /// # Errors
 ///
@@ -795,8 +798,7 @@ pub fn serve_with(
         })
         .collect();
 
-    // Per-shard balance metrics, registered even for the single-shard
-    // daemon so the exposition surface is stable across configurations.
+    // Per-shard balance metrics.
     let shard_labels: Vec<String> = (0..shards).map(|s| s.to_string()).collect();
     let shard_metrics: Vec<(Counter, Counter, Gauge)> = shard_labels
         .iter()
@@ -833,9 +835,7 @@ pub fn serve_with(
     );
 
     // Lock contention instrumentation: one probe per shard, its
-    // histograms/counters attached under stable per-shard labels (the
-    // serial daemon registers shard 0 too, keeping the exposition
-    // surface configuration-independent).
+    // histograms/counters attached under stable per-shard labels.
     let lock_probes: Vec<ShardLockProbe> = (0..shards).map(|_| ShardLockProbe::new()).collect();
     let contention_gauges: Vec<Gauge> = shard_labels
         .iter()
@@ -884,8 +884,8 @@ pub fn serve_with(
     let slo_tracker = SloTracker::register(slo, latency_model, &registry);
     let ring = SnapshotRing::new(dash_history);
 
-    // One flight ring per shard; serial mode uses ring 0. HTTP handlers
-    // snapshot the rings while the replay thread records into them.
+    // One flight ring per shard. HTTP handlers snapshot the rings while
+    // the replay threads record into them.
     let recorders: Vec<SharedRecorder> = (0..shards)
         .map(|_| SharedRecorder::new(flight_capacity))
         .collect();
@@ -925,42 +925,35 @@ pub fn serve_with(
     }
     let log_obs = LogObserver::new(logger.clone());
     let regret_obs = RegretTracker::with_registry(RegretConfig::default(), &registry);
-    let evict_reasons = ReasonChannel::new();
-    let admit_reasons = ReasonChannel::new();
-    // The flight observer is first in the chain so the ring already
-    // holds the current event when the anomaly trigger snapshots it.
-    let flight_obs = FlightObserver::with_reasons(
-        recorders[0].clone(),
-        evict_reasons.clone(),
-        admit_reasons.clone(),
-    );
-    let mut observer = (
-        flight_obs,
-        (
-            regret_obs,
+    // The per-event observers beyond the flight recorder, latency and
+    // SLO are single-stream by design: they run when the engine has one
+    // shard, on that shard.
+    let mut single_stream =
+        (shards == 1).then_some((regret_obs, (profile_obs, (anomaly_obs, log_obs))));
+    // Each shard's policy pushes its eviction reasons and its cache its
+    // admission verdicts into the shard's channels, which the shard's
+    // flight observer drains. The flight observer is first in the chain
+    // so the ring already holds the current event when the anomaly
+    // trigger snapshots it.
+    let reasons: Vec<ShardReasons> = (0..shards).map(|_| ShardReasons::default()).collect();
+    let mut observers: Vec<_> = recorders
+        .iter()
+        .zip(&reasons)
+        .map(|(recorder, r)| {
             (
-                profile_obs,
-                (
-                    anomaly_obs,
-                    (log_obs, (latency_obs.clone(), slo_tracker.clone())),
+                FlightObserver::with_reasons(
+                    recorder.clone(),
+                    r.evictions.clone(),
+                    r.admissions.clone(),
                 ),
-            ),
-        ),
-    );
-
-    // Concurrent mode trades the per-event observers (profiler, anomaly
-    // detectors, regret tracker, event log — single-stream by design)
-    // for client-thread parallelism and per-shard balance metrics; the
-    // flight recorders stay on via per-shard observers, without reason
-    // channels (the sharded caches are not sink-instrumented).
-    let concurrent = shards > 1 || clients > 1;
-    let replay = ReplayLoop {
-        config,
-        spec,
-        rate,
-        max_passes,
-    };
-    let sharded_replay = ShardedReplayLoop {
+                (
+                    single_stream.take(),
+                    (latency_obs.clone(), slo_tracker.clone()),
+                ),
+            )
+        })
+        .collect();
+    let replay = ShardedReplayLoop {
         config,
         spec,
         rate,
@@ -968,6 +961,7 @@ pub fn serve_with(
         shards,
         clients,
         lock_probes: Some(lock_probes.clone()),
+        reasons: Some(reasons),
     };
     let status = LiveStatus::new();
     logger.info(
@@ -980,7 +974,6 @@ pub fn serve_with(
     );
     replaying_gauge.set(1.0);
 
-    let shard_recorders = recorders.clone();
     let (summary, http_served) = std::thread::scope(|scope| {
         let replay_logger = logger.clone();
         let replay_handle = {
@@ -1000,111 +993,57 @@ pub fn serve_with(
             let pass_ring = ring.clone();
             let pass_registry = registry.clone();
             scope.spawn(move || {
-                // Pass-boundary bookkeeping shared by both replay
-                // modes: rotate the latency windows, fold the pass into
-                // the SLO burn windows (fired breaches are logged here;
-                // the bundle side effect rides the trigger), refresh
-                // the contention gauges, and sample the registry into
-                // the snapshot ring.
-                let end_of_pass = || {
-                    pass_latency.rotate_and_publish();
-                    for breach in pass_slo.evaluate() {
-                        replay_logger.warn(
+                // Pass-boundary bookkeeping: publish the pass totals and
+                // per-shard balance, rotate the latency windows, fold the
+                // pass into the SLO burn windows (fired breaches are
+                // logged here; the bundle side effect rides the trigger),
+                // refresh the contention gauges, and sample the registry
+                // into the snapshot ring.
+                let summary = replay
+                    .run_observed(&mut source, status, shutdown, &mut observers, |pass| {
+                        let hit_rate = pass.report.overall().hit_rate();
+                        passes_total.inc();
+                        requests_total.add(pass.requests);
+                        rps_gauge.set(pass.req_per_sec);
+                        hit_rate_gauge.set(hit_rate);
+                        for summary in &pass.report.per_shard {
+                            let (requests, bytes, rate) = &shard_metrics[summary.shard];
+                            requests.add(summary.requests);
+                            bytes.add(summary.bytes_requested);
+                            rate.set(if summary.requests > 0 {
+                                summary.hits as f64 / summary.requests as f64
+                            } else {
+                                0.0
+                            });
+                        }
+                        let balance = pass.report.balance();
+                        request_imbalance_gauge.set(balance.request_imbalance);
+                        byte_imbalance_gauge.set(balance.byte_imbalance);
+                        replay_logger.info(
                             "serve",
-                            "slo breach",
-                            &[("slo", breach.slo.into()), ("detail", breach.detail.into())],
+                            "pass complete",
+                            &[
+                                ("pass", pass.pass.into()),
+                                ("requests", pass.requests.into()),
+                                ("req_per_sec", pass.req_per_sec.into()),
+                                ("hit_rate", hit_rate.into()),
+                                ("request_imbalance", balance.request_imbalance.into()),
+                            ],
                         );
-                    }
-                    for (probe, gauge) in lock_probes.iter().zip(contention_gauges.iter()) {
-                        gauge.set(probe.contention_ratio());
-                    }
-                    pass_ring.capture(&pass_registry, unix_ms_now());
-                };
-                let summary = if concurrent {
-                    sharded_replay
-                        .run_observed(
-                            &mut source,
-                            status,
-                            shutdown,
-                            |shard| {
-                                (
-                                    FlightObserver::new(shard_recorders[shard].clone()),
-                                    (pass_latency.clone(), pass_slo.clone()),
-                                )
-                            },
-                            |pass| {
-                                let hit_rate = pass.report.overall().hit_rate();
-                                passes_total.inc();
-                                requests_total.add(pass.requests);
-                                rps_gauge.set(pass.req_per_sec);
-                                hit_rate_gauge.set(hit_rate);
-                                for summary in &pass.report.per_shard {
-                                    let (requests, bytes, rate) = &shard_metrics[summary.shard];
-                                    requests.add(summary.requests);
-                                    bytes.add(summary.bytes_requested);
-                                    rate.set(if summary.requests > 0 {
-                                        summary.hits as f64 / summary.requests as f64
-                                    } else {
-                                        0.0
-                                    });
-                                }
-                                let balance = pass.report.balance();
-                                request_imbalance_gauge.set(balance.request_imbalance);
-                                byte_imbalance_gauge.set(balance.byte_imbalance);
-                                replay_logger.info(
-                                    "serve",
-                                    "pass complete",
-                                    &[
-                                        ("pass", pass.pass.into()),
-                                        ("requests", pass.requests.into()),
-                                        ("req_per_sec", pass.req_per_sec.into()),
-                                        ("hit_rate", hit_rate.into()),
-                                        ("request_imbalance", balance.request_imbalance.into()),
-                                    ],
-                                );
-                                end_of_pass();
-                            },
-                        )
-                        .expect("shard count validated in from_args")
-                } else {
-                    // Instrumented serial replay: the policy pushes its
-                    // eviction reasons and the cache its admission
-                    // verdicts into the channels the flight observer
-                    // drains.
-                    replay.run_with(
-                        &mut source,
-                        &mut observer,
-                        status,
-                        shutdown,
-                        move || {
-                            let mut sim = Simulator::from_spec_instrumented(
-                                spec,
-                                config,
-                                FlightSink::new(evict_reasons.clone()),
-                            );
-                            sim.set_admit_reasons(admit_reasons.clone());
-                            sim
-                        },
-                        |pass| {
-                            let hit_rate = pass.report.overall().hit_rate();
-                            passes_total.inc();
-                            requests_total.add(pass.requests);
-                            rps_gauge.set(pass.req_per_sec);
-                            hit_rate_gauge.set(hit_rate);
-                            replay_logger.info(
+                        pass_latency.rotate_and_publish();
+                        for breach in pass_slo.evaluate() {
+                            replay_logger.warn(
                                 "serve",
-                                "pass complete",
-                                &[
-                                    ("pass", pass.pass.into()),
-                                    ("requests", pass.requests.into()),
-                                    ("req_per_sec", pass.req_per_sec.into()),
-                                    ("hit_rate", hit_rate.into()),
-                                ],
+                                "slo breach",
+                                &[("slo", breach.slo.into()), ("detail", breach.detail.into())],
                             );
-                            end_of_pass();
-                        },
-                    )
-                };
+                        }
+                        for (probe, gauge) in lock_probes.iter().zip(contention_gauges.iter()) {
+                            gauge.set(probe.contention_ratio());
+                        }
+                        pass_ring.capture(&pass_registry, unix_ms_now());
+                    })
+                    .expect("shard count validated in from_args");
                 replaying_gauge.set(0.0);
                 summary
             })

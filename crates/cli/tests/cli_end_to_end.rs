@@ -757,3 +757,36 @@ fn invalid_utf8_in_a_trace_names_its_line() {
     );
     fs::remove_file(path).ok();
 }
+
+#[test]
+fn unknown_flags_exit_2_naming_the_nearest_known_flag() {
+    let path = generate_trace("unknown-flags.wct");
+    let path = path.to_str().unwrap();
+    let cases: [(&[&str], &str); 2] = [
+        (
+            &[
+                "simulate", "--trace", path, "--policy", "lru", "--bogus", "1",
+            ],
+            "`--bogus`",
+        ),
+        (
+            &["sweep", "--trace", path, "--fraction", "0"],
+            "`--fractions`",
+        ),
+    ];
+    for (args, expected) in cases {
+        let output = std::process::Command::new(env!("CARGO_BIN_EXE_webcache"))
+            .args(args)
+            .output()
+            .unwrap();
+        let stderr = String::from_utf8_lossy(&output.stderr);
+        assert_eq!(output.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("unknown flag"), "{stderr}");
+        assert!(stderr.contains(expected), "{stderr}");
+        assert!(
+            output.stdout.is_empty(),
+            "no report for a rejected command line"
+        );
+    }
+    fs::remove_file(path).ok();
+}

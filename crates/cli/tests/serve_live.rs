@@ -406,7 +406,8 @@ fn anomaly_writes_one_bundle_that_round_trips_through_inspect() {
 fn sharded_daemon_exports_per_shard_balance_metrics() {
     let args = Args::parse(
         &argv(
-            "--workload dfn --quick --passes 2 --port 0 --log-level error --shards 4 --clients 4",
+            "--workload dfn --quick --passes 2 --port 0 --log-level error --shards 4 --clients 4 \
+             --policy gd*(p)",
         ),
         &["quick"],
     )
@@ -496,13 +497,18 @@ fn sharded_daemon_exports_per_shard_balance_metrics() {
     assert!(frame.contains("shard 3"), "{frame}");
 
     // The concurrent engine records flight events too (one ring per
-    // shard, no reason payloads): /debug/flight merges all four rings.
+    // shard, with the shard's reason payloads): /debug/flight merges all
+    // four rings.
     let (status, flight) = http_get(addr, "/debug/flight");
     assert_eq!(status, 200);
     let parsed = webcache_obs::json::parse(&flight).expect("flight parses");
     assert!(parsed.get("records").is_some(), "{flight}");
     assert!(flight.contains("\"shards\": 4"), "{flight}");
     assert!(flight.contains("\"event\": "), "{flight}");
+    assert!(
+        flight.contains("\"reason\": {\"kind\": \"greedy_dual\""),
+        "GD*(P) evictions carry their reasons on every shard: {flight}"
+    );
     // Every shard actually received traffic on a realistic workload.
     for line in metrics.lines() {
         if let Some(rest) = line.strip_prefix("webcache_serve_shard_requests_total{") {

@@ -64,7 +64,7 @@ pub use float::OrderedF64;
 pub use policy::{BetaMode, PolicyKind, ReplacementPolicy, S3Fifo};
 pub use sharded::{
     validate_shard_count, ShardBalance, ShardConfigError, ShardCounters, ShardLockProbe,
-    ShardSnapshot, ShardedEngine,
+    ShardReasons, ShardSnapshot, ShardedEngine,
 };
 pub use sketch::FrequencySketch;
 pub use spec::{ParseSpecError, PolicySpec, DEFAULT_SECOND_HIT_WINDOW};

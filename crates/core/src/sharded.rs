@@ -32,7 +32,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, TryLockError};
 use std::time::Instant;
 
-use webcache_obs::{Counter, Histogram};
+use webcache_obs::{Counter, FlightSink, Histogram, ReasonChannel};
 use webcache_trace::{fxhash, ByteSize, DocId};
 
 use crate::cache::Cache;
@@ -238,6 +238,19 @@ impl ShardLockProbe {
     }
 }
 
+/// One shard's flight-recorder reason channels: its policy pushes a
+/// reason per eviction victim into `evictions`, its cache a reason per
+/// admission verdict into `admissions`. A `FlightObserver` holding the
+/// same two channels pairs them with the shard's events, exactly as in
+/// an instrumented serial replay.
+#[derive(Debug, Clone, Default)]
+pub struct ShardReasons {
+    /// Eviction reasons, filled through the policy's [`FlightSink`].
+    pub evictions: ReasonChannel,
+    /// Admission-verdict reasons, filled by the cache.
+    pub admissions: ReasonChannel,
+}
+
 /// One shard: its cache behind the stripe lock, plus the lock-free
 /// counters beside it.
 #[derive(Debug)]
@@ -267,28 +280,57 @@ impl ShardedEngine {
     /// `0..per_shard_distinct[s]` (a sharded trace view computes the
     /// mapping).
     ///
+    /// With `reasons` (one [`ShardReasons`] per shard), shard `s` builds
+    /// its policy with a [`FlightSink`] on `reasons[s].evictions` and
+    /// routes its admission verdicts into `reasons[s].admissions`, as
+    /// an instrumented serial simulator does. Without, no shard pushes a
+    /// reason.
+    ///
     /// # Errors
     ///
     /// [`ShardConfigError`] when the shard count is zero or not a power
     /// of two.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `reasons` is given with a length other than the shard
+    /// count.
     pub fn with_dense_shards(
         capacity: ByteSize,
         spec: impl Into<PolicySpec>,
         per_shard_distinct: &[usize],
+        reasons: Option<&[ShardReasons]>,
     ) -> Result<ShardedEngine, ShardConfigError> {
         let spec = spec.into();
         validate_shard_count(per_shard_distinct.len())?;
+        if let Some(reasons) = reasons {
+            assert_eq!(
+                reasons.len(),
+                per_shard_distinct.len(),
+                "one reason pair per shard"
+            );
+        }
         let shard_capacity = Self::split_capacity(capacity, per_shard_distinct.len());
         let shards = per_shard_distinct
             .iter()
-            .map(|&distinct| Shard {
-                cache: Mutex::new(Cache::with_dense_slots(
-                    shard_capacity,
-                    spec.replacement.build(),
-                    spec.admission,
-                    distinct,
-                )),
-                counters: ShardCounters::default(),
+            .enumerate()
+            .map(|(index, &distinct)| {
+                let reasons = reasons.map(|r| &r[index]);
+                let policy = match reasons {
+                    Some(r) => spec
+                        .replacement
+                        .build_instrumented(FlightSink::new(r.evictions.clone())),
+                    None => spec.replacement.build(),
+                };
+                let mut cache =
+                    Cache::with_dense_slots(shard_capacity, policy, spec.admission, distinct);
+                if let Some(r) = reasons {
+                    cache.set_admit_reasons(r.admissions.clone());
+                }
+                Shard {
+                    cache: Mutex::new(cache),
+                    counters: ShardCounters::default(),
+                }
             })
             .collect();
         Ok(ShardedEngine {
@@ -487,6 +529,7 @@ mod tests {
             ByteSize::new(8_000),
             PolicyKind::Lru,
             &[SLOTS; 8][..shards],
+            None,
         )
         .expect("valid shard count")
     }
@@ -560,10 +603,11 @@ mod tests {
         assert_eq!(e.capacity().as_u64(), 8_000);
         assert_eq!(e.shard_capacity().as_u64(), 2_000);
         let tiny =
-            ShardedEngine::with_dense_shards(ByteSize::new(3), PolicyKind::Lru, &[1; 8]).unwrap();
+            ShardedEngine::with_dense_shards(ByteSize::new(3), PolicyKind::Lru, &[1; 8], None)
+                .unwrap();
         assert_eq!(tiny.shard_capacity().as_u64(), 1);
         assert_eq!(
-            ShardedEngine::with_dense_shards(ByteSize::new(3), PolicyKind::Lru, &[1; 3])
+            ShardedEngine::with_dense_shards(ByteSize::new(3), PolicyKind::Lru, &[1; 3], None)
                 .unwrap_err(),
             ShardConfigError::NotPowerOfTwo(3)
         );

@@ -1,4 +1,5 @@
-//! Multi-threaded replay against the sharded engine.
+//! Multi-threaded replay against the sharded engine, and the serve loop
+//! built on it.
 //!
 //! [`ConcurrentSimulator::run`] replays a [`DenseTrace`] through a
 //! [`ShardedEngine`] with `M` client threads. The trace is first split
@@ -10,6 +11,12 @@
 //! [`Simulator::run_dense_observed`](crate::Simulator::run_dense_observed),
 //! holding that shard's stripe lock for the duration and publishing
 //! progress through the engine's lock-free counters every 128 requests.
+//! One shard is the serial replay: its split is the identity, so the
+//! shard reads global request indices and document slots directly.
+//!
+//! [`ShardedReplayLoop`] runs that replay pass after pass; it is the
+//! only driver of `webcache serve`. Observers are owned by the caller,
+//! one per shard, and persist across passes.
 //!
 //! ## Determinism
 //!
@@ -32,7 +39,8 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::{Duration, Instant};
 
 use webcache_core::{
-    Cache, Eviction, PolicySpec, ShardBalance, ShardConfigError, ShardLockProbe, ShardedEngine,
+    Cache, Eviction, PolicySpec, ShardBalance, ShardConfigError, ShardLockProbe, ShardReasons,
+    ShardedEngine,
 };
 use webcache_trace::{ByteSize, DenseTrace, DocumentType, TypeMap};
 
@@ -50,14 +58,27 @@ const PUBLISH_EVERY: usize = 128;
 /// A [`DenseTrace`] pre-split for an `N`-shard engine.
 ///
 /// Built once per (trace, shard count) and shared read-only across the
-/// client threads, exactly like the dense view itself. Holds, per
-/// global document slot, the owning shard and the **shard-local** slot
-/// (dense within the shard, numbered in first-appearance order, so each
-/// shard's cache can use identity slot addressing), plus each shard's
-/// request subsequence as global trace indices in trace order.
+/// client threads, exactly like the dense view itself. For `N > 1` it
+/// holds, per global document slot, the owning shard and the
+/// **shard-local** slot (dense within the shard, numbered in
+/// first-appearance order, so each shard's cache can use identity slot
+/// addressing), plus each shard's request subsequence as global trace
+/// indices in trace order. For `N = 1` the split is the identity and
+/// nothing is stored.
 #[derive(Debug, Clone)]
 pub struct ShardedTrace {
     shard_count: usize,
+    /// Requests in the trace.
+    requests: usize,
+    /// Per shard: distinct documents routed to it.
+    per_shard_distinct: Vec<usize>,
+    /// The routing tables; `None` for one shard.
+    split: Option<Split>,
+}
+
+/// The routing tables of a split over more than one shard.
+#[derive(Debug, Clone)]
+struct Split {
     /// Per global slot: the owning shard.
     shard_of_slot: Vec<u32>,
     /// Per global slot: the slot within the owning shard.
@@ -68,8 +89,6 @@ pub struct ShardedTrace {
     global_of_local: Vec<Vec<u32>>,
     /// Per shard: global request indices, in trace order.
     shard_requests: Vec<Vec<u32>>,
-    /// Per shard: distinct documents routed to it.
-    per_shard_distinct: Vec<usize>,
 }
 
 impl ShardedTrace {
@@ -81,15 +100,24 @@ impl ShardedTrace {
     ///
     /// # Panics
     ///
-    /// Panics when the trace exceeds `u32::MAX` requests (the per-shard
-    /// subsequences store 32-bit indices).
+    /// Panics when a trace split over more than one shard exceeds
+    /// `u32::MAX` requests (the per-shard subsequences store 32-bit
+    /// indices).
     pub fn build(trace: &DenseTrace, shard_count: usize) -> Result<ShardedTrace, ShardConfigError> {
         webcache_core::validate_shard_count(shard_count)?;
+        let distinct = trace.distinct_documents();
+        if shard_count == 1 {
+            return Ok(ShardedTrace {
+                shard_count,
+                requests: trace.len(),
+                per_shard_distinct: vec![distinct],
+                split: None,
+            });
+        }
         assert!(
             trace.len() <= u32::MAX as usize,
             "trace too long for 32-bit request indices"
         );
-        let distinct = trace.distinct_documents();
         let mut shard_of_slot = vec![0u32; distinct];
         let mut local_slot = vec![0u32; distinct];
         let mut per_shard_distinct = vec![0usize; shard_count];
@@ -110,11 +138,14 @@ impl ShardedTrace {
         }
         Ok(ShardedTrace {
             shard_count,
-            shard_of_slot,
-            local_slot,
-            global_of_local,
-            shard_requests,
+            requests: trace.len(),
             per_shard_distinct,
+            split: Some(Split {
+                shard_of_slot,
+                local_slot,
+                global_of_local,
+                shard_requests,
+            }),
         })
     }
 
@@ -125,7 +156,9 @@ impl ShardedTrace {
 
     /// The shard owning global document `slot`.
     pub fn shard_of_slot(&self, slot: u32) -> usize {
-        self.shard_of_slot[slot as usize] as usize
+        self.split
+            .as_ref()
+            .map_or(0, |split| split.shard_of_slot[slot as usize] as usize)
     }
 
     /// Distinct documents routed to each shard.
@@ -135,7 +168,9 @@ impl ShardedTrace {
 
     /// Requests routed to shard `shard`.
     pub fn shard_len(&self, shard: usize) -> usize {
-        self.shard_requests[shard].len()
+        self.split
+            .as_ref()
+            .map_or(self.requests, |split| split.shard_requests[shard].len())
     }
 }
 
@@ -236,6 +271,12 @@ pub struct ConcurrentSimulator {
     /// across passes). `None` leaves the engine's lock path
     /// uninstrumented.
     pub lock_probes: Option<Vec<ShardLockProbe>>,
+    /// Optional per-shard flight-recorder reason channels, cloned onto
+    /// each pass's engine (see [`ShardedEngine::with_dense_shards`]).
+    /// Pair shard `s`'s channels with its observer's
+    /// [`FlightObserver::with_reasons`](crate::FlightObserver::with_reasons);
+    /// nothing else drains them. `None` pushes no reasons.
+    pub reasons: Option<Vec<ShardReasons>>,
 }
 
 impl ConcurrentSimulator {
@@ -248,6 +289,7 @@ impl ConcurrentSimulator {
             spec: spec.into(),
             config,
             lock_probes: None,
+            reasons: None,
         }
     }
 
@@ -256,6 +298,13 @@ impl ConcurrentSimulator {
     #[must_use]
     pub fn with_lock_probes(mut self, probes: Vec<ShardLockProbe>) -> ConcurrentSimulator {
         self.lock_probes = Some(probes);
+        self
+    }
+
+    /// Installs per-shard reason channels (one pair per shard).
+    #[must_use]
+    pub fn with_reasons(mut self, reasons: Vec<ShardReasons>) -> ConcurrentSimulator {
+        self.reasons = Some(reasons);
         self
     }
 
@@ -283,94 +332,92 @@ impl ConcurrentSimulator {
         sharded: &ShardedTrace,
         clients: usize,
     ) -> ConcurrentReport {
-        self.run_sharded_observed(trace, sharded, clients, |_| NoopObserver)
-            .0
+        let mut observers = vec![NoopObserver; sharded.shard_count()];
+        self.run_sharded_observed(trace, sharded, clients, &mut observers, None, None)
     }
 
-    /// Like [`ConcurrentSimulator::run_sharded`], with one observer per
-    /// shard built by `factory(shard)`; observers are returned in shard
-    /// order. Events carry **global** request indices and **global**
-    /// document slots, so per-shard observers see the same event values
-    /// as a serial observer would — only partitioned, each shard's
-    /// stream in trace order.
-    pub fn run_sharded_observed<O, F>(
+    /// Like [`ConcurrentSimulator::run_sharded`], with `observers[s]`
+    /// seeing shard `s`'s events. The observers stay the caller's, so
+    /// their state carries over into the next replay. Events carry
+    /// **global** request indices and **global** document slots, so
+    /// per-shard observers see the same event values as a serial
+    /// observer would — only partitioned, each shard's stream in trace
+    /// order.
+    ///
+    /// `rate` throttles the aggregate request rate (split across
+    /// clients in proportion to their share of the trace); `shutdown`
+    /// is checked every 128 requests, and a raised flag abandons the
+    /// rest of the replay and marks the report `completed: false`.
+    ///
+    /// # Panics
+    ///
+    /// Panics when `observers.len()` differs from the shard count.
+    pub fn run_sharded_observed<O: Observer + Send>(
         &self,
         trace: &DenseTrace,
         sharded: &ShardedTrace,
         clients: usize,
-        factory: F,
-    ) -> (ConcurrentReport, Vec<O>)
-    where
-        O: Observer + Send,
-        F: Fn(usize) -> O + Sync,
-    {
-        self.run_sharded_controlled(trace, sharded, clients, None, None, factory)
-    }
-
-    /// The full-control variant: an optional aggregate request-rate
-    /// throttle (split across clients in proportion to their share of
-    /// the trace) and an optional shutdown flag checked every 128
-    /// requests (a raised flag abandons the rest of the replay and
-    /// marks the report `completed: false`).
-    pub fn run_sharded_controlled<O, F>(
-        &self,
-        trace: &DenseTrace,
-        sharded: &ShardedTrace,
-        clients: usize,
+        observers: &mut [O],
         rate: Option<f64>,
         shutdown: Option<&AtomicBool>,
-        factory: F,
-    ) -> (ConcurrentReport, Vec<O>)
-    where
-        O: Observer + Send,
-        F: Fn(usize) -> O + Sync,
-    {
+    ) -> ConcurrentReport {
         let shards = sharded.shard_count();
-        let clients = clients.max(1).min(shards.max(1));
+        assert_eq!(observers.len(), shards, "one observer per shard");
+        let clients = clients.clamp(1, shards);
         let started = Instant::now();
         let mut engine = ShardedEngine::with_dense_shards(
             self.config.capacity,
             self.spec,
             sharded.per_shard_distinct(),
+            self.reasons.as_deref(),
         )
         .expect("ShardedTrace shard count is validated");
         if let Some(probes) = &self.lock_probes {
             engine.set_lock_probes(probes.clone());
         }
         let engine = engine;
-        let warmup_end = ((trace.len() as f64) * self.config.warmup_fraction).floor() as usize;
+        let config = self.config;
+        let warmup_end = ((trace.len() as f64) * config.warmup_fraction).floor() as usize;
 
-        let mut outcomes: Vec<Option<(ShardOutcome, O)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..clients)
-                .map(|client| {
+        let mut owned: Vec<Vec<(usize, &mut O)>> = (0..clients).map(|_| Vec::new()).collect();
+        for (shard, observer) in observers.iter_mut().enumerate() {
+            owned[shard % clients].push((shard, observer));
+        }
+        let mut outcomes: Vec<Option<ShardOutcome>> = (0..shards).map(|_| None).collect();
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = owned
+                .into_iter()
+                .map(|owned| {
                     let engine = &engine;
-                    let factory = &factory;
                     scope.spawn(move || {
-                        let owned: Vec<usize> = (client..shards).step_by(clients).collect();
                         let client_requests: usize =
-                            owned.iter().map(|&s| sharded.shard_len(s)).sum();
+                            owned.iter().map(|&(s, _)| sharded.shard_len(s)).sum();
                         let mut throttle = rate.filter(|_| client_requests > 0).map(|r| {
                             Throttle::new(r * client_requests as f64 / trace.len().max(1) as f64)
                         });
                         let mut results = Vec::with_capacity(owned.len());
-                        for shard in owned {
-                            let mut observer = factory(shard);
+                        for (shard, observer) in owned {
                             let outcome = engine.with_shard(shard, |cache| {
-                                replay_shard(
+                                let replay = if sharded.split.is_some() {
+                                    replay_shard::<false, O>
+                                } else {
+                                    replay_shard::<true, O>
+                                };
+                                replay(
                                     cache,
                                     engine,
                                     trace,
                                     sharded,
                                     shard,
                                     warmup_end,
-                                    self.config,
-                                    &mut observer,
+                                    config,
+                                    observer,
                                     throttle.as_mut(),
                                     shutdown,
                                 )
                             });
                             let completed = outcome.completed;
-                            results.push((shard, outcome, observer));
+                            results.push(outcome);
                             if !completed {
                                 break;
                             }
@@ -379,22 +426,20 @@ impl ConcurrentSimulator {
                     })
                 })
                 .collect();
-            let mut slots: Vec<Option<(ShardOutcome, O)>> = (0..shards).map(|_| None).collect();
             for handle in handles {
-                for (shard, outcome, observer) in handle.join().expect("client thread") {
-                    slots[shard] = Some((outcome, observer));
+                for outcome in handle.join().expect("client thread") {
+                    let shard = outcome.summary.shard;
+                    outcomes[shard] = Some(outcome);
                 }
             }
-            slots
         });
 
         let mut by_type: TypeMap<HitStats> = TypeMap::default();
         let mut per_shard = Vec::with_capacity(shards);
-        let mut observers = Vec::with_capacity(shards);
         let mut requests = 0u64;
         let mut completed = true;
-        for (shard, slot) in outcomes.iter_mut().enumerate() {
-            let Some((outcome, observer)) = slot.take() else {
+        for outcome in outcomes {
+            let Some(outcome) = outcome else {
                 // A client abandoned its remaining shards on shutdown.
                 completed = false;
                 continue;
@@ -404,25 +449,20 @@ impl ConcurrentSimulator {
             for (ty, stats) in outcome.summary.by_type.iter() {
                 by_type[ty] += *stats;
             }
-            debug_assert_eq!(outcome.summary.shard, shard);
             per_shard.push(outcome.summary);
-            observers.push(observer);
         }
 
-        (
-            ConcurrentReport {
-                policy: engine.policy_label(),
-                config: self.config,
-                shards,
-                clients,
-                requests,
-                elapsed: started.elapsed(),
-                completed,
-                per_shard,
-                by_type,
-            },
-            observers,
-        )
+        ConcurrentReport {
+            policy: engine.policy_label(),
+            config,
+            shards,
+            clients,
+            requests,
+            elapsed: started.elapsed(),
+            completed,
+            per_shard,
+            by_type,
+        }
     }
 }
 
@@ -433,11 +473,13 @@ struct ShardOutcome {
 }
 
 /// The per-shard hot loop: the serial dense replay specialized to one
-/// shard's subsequence. Holds the shard lock (the caller passes the
-/// locked cache) and publishes counter deltas every [`PUBLISH_EVERY`]
-/// requests.
+/// shard's subsequence. `WHOLE` is the one-shard identity split: the
+/// shard replays every request and addresses documents by their global
+/// slots, with no routing tables to read. Holds the shard lock (the
+/// caller passes the locked cache) and publishes counter deltas every
+/// [`PUBLISH_EVERY`] requests.
 #[allow(clippy::too_many_arguments)]
-fn replay_shard<O: Observer>(
+fn replay_shard<const WHOLE: bool, O: Observer>(
     cache: &mut Cache,
     engine: &ShardedEngine,
     trace: &DenseTrace,
@@ -449,10 +491,18 @@ fn replay_shard<O: Observer>(
     mut throttle: Option<&mut Throttle>,
     shutdown: Option<&AtomicBool>,
 ) -> ShardOutcome {
-    let requests = &sharded.shard_requests[shard];
+    let (indices, local, global_of): (&[u32], &[u32], &[u32]) = match &sharded.split {
+        Some(split) if !WHOLE => (
+            &split.shard_requests[shard],
+            &split.local_slot,
+            &split.global_of_local[shard],
+        ),
+        _ => (&[], &[], &[]),
+    };
+    let requests = sharded.shard_len(shard);
     let distinct = sharded.per_shard_distinct[shard];
     observer.on_run_start(RunMeta {
-        total_requests: requests.len(),
+        total_requests: requests,
         warmup_end,
         capacity: engine.shard_capacity(),
     });
@@ -460,8 +510,6 @@ fn replay_shard<O: Observer>(
     let slots = trace.docs();
     let sizes = trace.sizes();
     let types = trace.type_indices();
-    let local = &sharded.local_slot;
-    let global_of = &sharded.global_of_local[shard];
 
     let mut last_transfer: Vec<u64> = vec![NO_TRANSFER; distinct];
     let mut evicted: Vec<Eviction> = Vec::new();
@@ -477,18 +525,22 @@ fn replay_shard<O: Observer>(
     };
     let mut completed = true;
 
-    for chunk in requests.chunks(PUBLISH_EVERY) {
+    for start in (0..requests).step_by(PUBLISH_EVERY) {
         if shutdown.is_some_and(|flag| flag.load(Ordering::Relaxed)) {
             completed = false;
             break;
         }
+        let end = (start + PUBLISH_EVERY).min(requests);
         let mut chunk_hits = 0u64;
         let mut chunk_bytes_hit = 0u64;
         let mut chunk_bytes = 0u64;
-        for &gi in chunk {
-            let gi = gi as usize;
+        for gi in (start..end).map(|i| if WHOLE { i } else { indices[i] as usize }) {
             let global_slot = slots[gi];
-            let slot = local[global_slot as usize];
+            let slot = if WHOLE {
+                global_slot
+            } else {
+                local[global_slot as usize]
+            };
             let doc = DenseTrace::slot_doc(slot);
             let transfer = sizes[gi];
             let size = ByteSize::new(transfer);
@@ -518,11 +570,14 @@ fn replay_shard<O: Observer>(
             observer.on_access(event, access_kind(hit, modified));
             if !hit {
                 let disposition = cache.insert_into(doc, doc_type, size, &mut evicted);
-                // The cache addresses documents by shard-local slot;
-                // translate victims back to global slots so observers
-                // see the same document ids a serial replay would.
-                for eviction in &mut evicted {
-                    eviction.doc = DenseTrace::slot_doc(global_of[eviction.doc.as_u64() as usize]);
+                if !WHOLE {
+                    // The cache addresses documents by shard-local slot;
+                    // translate victims back to global slots so observers
+                    // see the same document ids a serial replay would.
+                    for eviction in &mut evicted {
+                        eviction.doc =
+                            DenseTrace::slot_doc(global_of[eviction.doc.as_u64() as usize]);
+                    }
                 }
                 notify_insert(observer, event, disposition, &evicted);
             }
@@ -541,18 +596,16 @@ fn replay_shard<O: Observer>(
             }
         }
 
-        summary.requests += chunk.len() as u64;
+        let chunk = (end - start) as u64;
+        summary.requests += chunk;
         summary.hits += chunk_hits;
         summary.bytes_requested += chunk_bytes;
         summary.bytes_hit += chunk_bytes_hit;
-        engine.counters(shard).add_bulk(
-            chunk.len() as u64,
-            chunk_hits,
-            chunk_bytes,
-            chunk_bytes_hit,
-        );
+        engine
+            .counters(shard)
+            .add_bulk(chunk, chunk_hits, chunk_bytes, chunk_bytes_hit);
         if let Some(t) = throttle.as_deref_mut() {
-            t.pace(chunk.len() as u64, shutdown);
+            t.pace(chunk, shutdown);
         }
     }
     observer.on_run_end();
@@ -561,7 +614,8 @@ fn replay_shard<O: Observer>(
 }
 
 /// Sleeps as needed to hold one client's target request rate. Checked
-/// once per [`PUBLISH_EVERY`] requests; never sleeps once the shutdown flag is up.
+/// once per [`PUBLISH_EVERY`] requests; never sleeps once the shutdown
+/// flag is up, so a throttled pass drains quickly on Ctrl-C.
 #[derive(Debug)]
 struct Throttle {
     per_sec: f64,
@@ -578,13 +632,22 @@ impl Throttle {
         }
     }
 
-    fn pace(&mut self, just_done: u64, shutdown: Option<&AtomicBool>) {
+    /// Counts `just_done` more requests and returns how long to sleep
+    /// so that, `elapsed` after the start, the client is not ahead of
+    /// its rate (`None` when it is not).
+    fn sleep_due(&mut self, just_done: u64, elapsed: Duration) -> Option<Duration> {
         self.done += just_done;
-        let due = Duration::from_secs_f64(self.done as f64 / self.per_sec);
+        let due =
+            Duration::try_from_secs_f64(self.done as f64 / self.per_sec).unwrap_or(Duration::MAX);
+        due.checked_sub(elapsed).filter(|nap| !nap.is_zero())
+    }
+
+    fn pace(&mut self, just_done: u64, shutdown: Option<&AtomicBool>) {
         let elapsed = self.started.elapsed();
-        let stop = shutdown.is_some_and(|f| f.load(Ordering::Relaxed));
-        if due > elapsed && !stop {
-            std::thread::sleep(due - elapsed);
+        if let Some(nap) = self.sleep_due(just_done, elapsed) {
+            if !shutdown.is_some_and(|f| f.load(Ordering::Relaxed)) {
+                std::thread::sleep(nap);
+            }
         }
     }
 }
@@ -604,11 +667,11 @@ pub struct ConcurrentPassSummary {
     pub report: ConcurrentReport,
 }
 
-/// The continuous replay driver against the sharded engine — the
-/// `webcache serve --shards N --clients M` engine. Mirrors
-/// [`ReplayLoop`](crate::live::ReplayLoop): one fresh engine per pass,
-/// shutdown honored between passes *and* every 128 requests within a
-/// pass (an interrupted pass is discarded, not reported).
+/// The continuous replay driver — the `webcache serve` engine, at one
+/// shard or many. Each pass replays one trace from the source through a
+/// fresh engine; shutdown is honored between passes *and* every 128
+/// requests within a pass (an interrupted pass is discarded, not
+/// reported).
 #[derive(Debug, Clone)]
 pub struct ShardedReplayLoop {
     /// Cache/simulation parameters, applied to every pass.
@@ -626,6 +689,9 @@ pub struct ShardedReplayLoop {
     /// Optional per-shard lock probes, shared across every pass's
     /// engine (handles share cells, so contention stats accumulate).
     pub lock_probes: Option<Vec<ShardLockProbe>>,
+    /// Optional per-shard reason channels, shared across every pass's
+    /// engine (see [`ConcurrentSimulator::reasons`]).
+    pub reasons: Option<Vec<ShardReasons>>,
 }
 
 impl ShardedReplayLoop {
@@ -646,37 +712,44 @@ impl ShardedReplayLoop {
         S: TraceSource,
         F: FnMut(&ConcurrentPassSummary),
     {
-        self.run_observed(source, status, shutdown, |_| NoopObserver, on_pass)
+        let mut observers = vec![NoopObserver; self.shards];
+        self.run_observed(source, status, shutdown, &mut observers, on_pass)
     }
 
-    /// Like [`ShardedReplayLoop::run`], with one observer per shard per
-    /// pass built by `factory(shard)`. Observers see global request
-    /// indices (see [`ConcurrentSimulator::run_sharded_observed`]); a
-    /// factory handing each shard a clone of a shared flight-recorder
-    /// ring is how the serve path keeps a decision trail in concurrent
-    /// mode. Per-pass observer state is discarded at pass end — durable
-    /// state must live behind the factory's shared handles.
+    /// Like [`ShardedReplayLoop::run`], with `observers[s]` seeing shard
+    /// `s`'s events on every pass (see
+    /// [`ConcurrentSimulator::run_sharded_observed`]). Observers persist
+    /// across passes, so windowed baselines, rings and totals keep their
+    /// history while the caches restart cold.
     ///
     /// # Errors
     ///
     /// [`ShardConfigError`] for an invalid shard count.
-    pub fn run_observed<S, O, OF, F>(
+    ///
+    /// # Panics
+    ///
+    /// Panics when `observers.len()` differs from the shard count.
+    pub fn run_observed<S, O, F>(
         &self,
         source: &mut S,
         status: &LiveStatus,
         shutdown: &AtomicBool,
-        factory: OF,
+        observers: &mut [O],
         mut on_pass: F,
     ) -> Result<LiveSummary, ShardConfigError>
     where
         S: TraceSource,
         O: Observer + Send,
-        OF: Fn(usize) -> O + Sync,
         F: FnMut(&ConcurrentPassSummary),
     {
         webcache_core::validate_shard_count(self.shards)?;
-        let mut simulator = ConcurrentSimulator::new(self.spec, self.config);
-        simulator.lock_probes = self.lock_probes.clone();
+        assert_eq!(observers.len(), self.shards, "one observer per shard");
+        let simulator = ConcurrentSimulator {
+            spec: self.spec,
+            config: self.config,
+            lock_probes: self.lock_probes.clone(),
+            reasons: self.reasons.clone(),
+        };
         status.set_replaying(true);
         let mut passes = 0u64;
         let mut requests = 0u64;
@@ -686,15 +759,15 @@ impl ShardedReplayLoop {
             };
             // Rebuilt per pass: stream sources hand out a new trace each
             // epoch, and the split is one O(n) sweep — noise next to the
-            // replay itself.
+            // replay itself (and nothing at one shard).
             let sharded = ShardedTrace::build(dense, self.shards)?;
-            let (report, _) = simulator.run_sharded_controlled(
+            let report = simulator.run_sharded_observed(
                 dense,
                 &sharded,
                 self.clients,
+                observers,
                 self.rate,
                 Some(shutdown),
-                &factory,
             );
             if !report.completed {
                 break;
@@ -721,7 +794,8 @@ impl ShardedReplayLoop {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::live::FixedSource;
+    use crate::live::{FixedSource, LiveState};
+    use crate::observe::AccessKind;
     use webcache_core::PolicyKind;
     use webcache_trace::{DocId, Request, Timestamp, Trace};
 
@@ -744,6 +818,23 @@ mod tests {
             .build()
     }
 
+    /// An LRU serve loop over `shards` shards (one client per shard).
+    fn serve_loop(shards: usize, max_passes: Option<u64>) -> ShardedReplayLoop {
+        ShardedReplayLoop {
+            config: SimulationConfig::builder()
+                .capacity(ByteSize::from_kib(8))
+                .warmup_fraction(0.0)
+                .build(),
+            spec: PolicyKind::Lru.into(),
+            rate: None,
+            max_passes,
+            shards,
+            clients: shards,
+            lock_probes: None,
+            reasons: None,
+        }
+    }
+
     #[test]
     fn sharded_trace_partitions_everything_exactly_once() {
         let dense = DenseTrace::build(&mixed_trace(1_000, 97));
@@ -752,17 +843,31 @@ mod tests {
         assert_eq!(total, dense.len());
         let distinct: usize = sharded.per_shard_distinct().iter().sum();
         assert_eq!(distinct, dense.distinct_documents());
+        let split = sharded.split.as_ref().expect("eight shards are split");
         // Every request's shard matches its document's shard.
         for (index, &slot) in dense.docs().iter().enumerate() {
             let shard = sharded.shard_of_slot(slot);
-            assert!(sharded.shard_requests[shard].contains(&(index as u32)));
+            assert!(split.shard_requests[shard].contains(&(index as u32)));
         }
         // Subsequences are in trace order.
         for s in 0..8 {
-            assert!(sharded.shard_requests[s].windows(2).all(|w| w[0] < w[1]));
+            assert!(split.shard_requests[s].windows(2).all(|w| w[0] < w[1]));
         }
         assert!(ShardedTrace::build(&dense, 3).is_err());
         assert!(ShardedTrace::build(&dense, 0).is_err());
+    }
+
+    #[test]
+    fn one_shard_split_is_the_identity_and_stores_nothing() {
+        let dense = DenseTrace::build(&mixed_trace(1_000, 97));
+        let whole = ShardedTrace::build(&dense, 1).unwrap();
+        assert!(whole.split.is_none());
+        assert_eq!(whole.shard_len(0), dense.len());
+        assert_eq!(whole.per_shard_distinct(), &[dense.distinct_documents()]);
+        assert!(dense
+            .docs()
+            .iter()
+            .all(|&slot| whole.shard_of_slot(slot) == 0));
     }
 
     #[test]
@@ -856,58 +961,60 @@ mod tests {
         let dense = DenseTrace::build(&mixed_trace(4_000, 211));
         let sharded = ShardedTrace::build(&dense, 4).unwrap();
         let flag = AtomicBool::new(true);
-        let (report, _) = ConcurrentSimulator::new(PolicyKind::Lru, config(10_000))
-            .run_sharded_controlled(&dense, &sharded, 2, None, Some(&flag), |_| NoopObserver);
+        let report = ConcurrentSimulator::new(PolicyKind::Lru, config(10_000))
+            .run_sharded_observed(
+                &dense,
+                &sharded,
+                2,
+                &mut [NoopObserver; 4],
+                None,
+                Some(&flag),
+            );
         assert!(!report.completed);
         assert_eq!(report.requests, 0, "flag was up before the first request");
     }
 
     #[test]
-    fn sharded_loop_runs_passes_and_reports_status() {
-        let trace = mixed_trace(800, 67);
-        let mut source = FixedSource::new(&trace);
-        let status = LiveStatus::new();
-        let shutdown = AtomicBool::new(false);
-        let mut seen = Vec::new();
-        let summary = ShardedReplayLoop {
-            config: config(8_000),
-            spec: PolicyKind::Lru.into(),
-            rate: None,
-            max_passes: Some(3),
-            shards: 4,
-            clients: 4,
-            lock_probes: None,
-        }
-        .run(&mut source, &status, &shutdown, |pass| {
-            seen.push((pass.pass, pass.report.shards));
-        })
-        .unwrap();
-        assert_eq!(summary.passes, 3);
-        assert_eq!(summary.requests, 2_400);
-        assert_eq!(seen, vec![(0, 4), (1, 4), (2, 4)]);
-        assert_eq!(status.passes(), 3);
-        assert!(!status.replaying());
-        assert!(status.last_pass_req_per_sec() > 0.0);
+    fn throttle_requests_the_sleep_that_holds_its_rate() {
+        // 1000 req/s: 128 requests are due 128 ms after the start.
+        let mut throttle = Throttle::new(1_000.0);
+        assert_eq!(
+            throttle.sleep_due(128, Duration::ZERO),
+            Some(Duration::from_millis(128))
+        );
+        assert_eq!(
+            throttle.sleep_due(128, Duration::from_millis(200)),
+            Some(Duration::from_millis(56))
+        );
+        // Behind schedule: no sleep.
+        assert_eq!(throttle.sleep_due(128, Duration::from_millis(400)), None);
+        assert_eq!(throttle.sleep_due(0, Duration::from_millis(384)), None);
+        // A vanishing rate saturates instead of overflowing.
+        let mut crawl = Throttle::new(0.0);
+        assert_eq!(
+            crawl.sleep_due(u64::MAX, Duration::ZERO),
+            Some(Duration::MAX)
+        );
     }
 
     #[test]
-    fn sharded_loop_rejects_bad_shard_counts() {
-        let trace = mixed_trace(100, 11);
-        let mut source = FixedSource::new(&trace);
-        let status = LiveStatus::new();
-        let shutdown = AtomicBool::new(false);
-        let err = ShardedReplayLoop {
-            config: config(1_000),
-            spec: PolicyKind::Lru.into(),
-            rate: None,
-            max_passes: Some(1),
-            shards: 6,
-            clients: 2,
-            lock_probes: None,
-        }
-        .run(&mut source, &status, &shutdown, |_| {})
-        .unwrap_err();
-        assert_eq!(err, ShardConfigError::NotPowerOfTwo(6));
+    fn throttled_replay_completes_with_the_unthrottled_report() {
+        let dense = DenseTrace::build(&mixed_trace(600, 31));
+        let sharded = ShardedTrace::build(&dense, 2).unwrap();
+        let sim = ConcurrentSimulator::new(PolicyKind::Lru, config(8_000));
+        let report = sim.run_sharded_observed(
+            &dense,
+            &sharded,
+            2,
+            &mut [NoopObserver; 2],
+            Some(1e12),
+            None,
+        );
+        assert!(report.completed);
+        assert_eq!(
+            report.by_type(),
+            sim.run_sharded(&dense, &sharded, 2).by_type()
+        );
     }
 
     #[test]
@@ -935,18 +1042,167 @@ mod tests {
     }
 
     #[test]
-    fn throttled_replay_holds_the_aggregate_rate() {
-        let dense = DenseTrace::build(&mixed_trace(600, 31));
-        let sharded = ShardedTrace::build(&dense, 2).unwrap();
-        let started = Instant::now();
-        let (report, _) = ConcurrentSimulator::new(PolicyKind::Lru, config(8_000))
-            .run_sharded_controlled(&dense, &sharded, 2, Some(20_000.0), None, |_| NoopObserver);
-        // 600 requests at 20k req/s aggregate ≈ 30 ms; allow wide slack.
-        assert!(
-            started.elapsed() >= Duration::from_millis(15),
-            "throttle had no effect: {:?}",
-            started.elapsed()
-        );
-        assert!(report.completed);
+    fn sharded_loop_runs_passes_and_reports_status() {
+        let trace = mixed_trace(800, 67);
+        let mut source = FixedSource::new(&trace);
+        let status = LiveStatus::new();
+        let shutdown = AtomicBool::new(false);
+        let mut seen = Vec::new();
+        let summary = ShardedReplayLoop {
+            config: config(8_000),
+            ..serve_loop(4, Some(3))
+        }
+        .run(&mut source, &status, &shutdown, |pass| {
+            seen.push((pass.pass, pass.report.shards));
+        })
+        .unwrap();
+        assert_eq!(summary.passes, 3);
+        assert_eq!(summary.requests, 2_400);
+        assert_eq!(seen, vec![(0, 4), (1, 4), (2, 4)]);
+        assert_eq!(status.passes(), 3);
+        assert!(!status.replaying());
+        assert!(status.last_pass_req_per_sec() > 0.0);
+    }
+
+    #[test]
+    fn sharded_loop_rejects_bad_shard_counts() {
+        let trace = mixed_trace(100, 11);
+        let mut source = FixedSource::new(&trace);
+        let status = LiveStatus::new();
+        let shutdown = AtomicBool::new(false);
+        let err = ShardedReplayLoop {
+            clients: 2,
+            ..serve_loop(6, Some(1))
+        }
+        .run(&mut source, &status, &shutdown, |_| {})
+        .unwrap_err();
+        assert_eq!(err, ShardConfigError::NotPowerOfTwo(6));
+    }
+
+    #[test]
+    fn bounded_loop_runs_exactly_max_passes() {
+        for shards in [1, 2] {
+            let mut source = FixedSource::new(&mixed_trace(200, 16));
+            let status = LiveStatus::new();
+            let shutdown = AtomicBool::new(false);
+            let mut pass_indices = Vec::new();
+            let summary = serve_loop(shards, Some(3))
+                .run(&mut source, &status, &shutdown, |pass| {
+                    pass_indices.push(pass.pass)
+                })
+                .unwrap();
+            assert_eq!(summary.passes, 3, "{shards} shards");
+            assert_eq!(summary.requests, 600);
+            assert_eq!(pass_indices, vec![0, 1, 2]);
+            assert_eq!(status.passes(), 3);
+            assert_eq!(status.requests(), 600);
+            assert_eq!(status.state(), LiveState::Done);
+            assert!(status.last_pass_req_per_sec() > 0.0);
+        }
+    }
+
+    #[test]
+    fn status_is_starting_before_replaying_during_and_done_after() {
+        for shards in [1, 2] {
+            let mut source = FixedSource::new(&mixed_trace(100, 16));
+            let status = LiveStatus::new();
+            assert_eq!(status.state(), LiveState::Starting);
+            assert!(!status.replaying(), "not yet replaying");
+            let mut during = Vec::new();
+            serve_loop(shards, Some(2))
+                .run(&mut source, &status, &AtomicBool::new(false), |_| {
+                    during.push(status.state().label())
+                })
+                .unwrap();
+            assert_eq!(during, vec!["replaying", "replaying"], "{shards} shards");
+            assert_eq!(status.state().label(), "done");
+        }
+    }
+
+    #[test]
+    fn observers_persist_across_passes() {
+        #[derive(Debug, Default)]
+        struct CountRuns {
+            starts: u64,
+            accesses: u64,
+        }
+        impl Observer for CountRuns {
+            fn on_run_start(&mut self, _meta: RunMeta) {
+                self.starts += 1;
+            }
+            fn on_access(&mut self, _e: AccessEvent, _k: AccessKind) {
+                self.accesses += 1;
+            }
+        }
+        for shards in [1, 2] {
+            let mut source = FixedSource::new(&mixed_trace(100, 16));
+            let mut observers: Vec<CountRuns> = (0..shards).map(|_| CountRuns::default()).collect();
+            serve_loop(shards, Some(4))
+                .run_observed(
+                    &mut source,
+                    &LiveStatus::new(),
+                    &AtomicBool::new(false),
+                    &mut observers,
+                    |_| {},
+                )
+                .unwrap();
+            for observer in &observers {
+                assert_eq!(observer.starts, 4, "one run start per pass per shard");
+            }
+            let accesses: u64 = observers.iter().map(|o| o.accesses).sum();
+            assert_eq!(accesses, 400, "state accumulated across passes");
+        }
+    }
+
+    #[test]
+    fn raised_shutdown_flag_stops_before_the_first_pass() {
+        for shards in [1, 2] {
+            let mut source = FixedSource::new(&mixed_trace(100, 16));
+            let status = LiveStatus::new();
+            let summary = serve_loop(shards, None)
+                .run(&mut source, &status, &AtomicBool::new(true), |_| {})
+                .unwrap();
+            assert_eq!(summary.passes, 0);
+            assert_eq!(status.state(), LiveState::Done);
+        }
+    }
+
+    #[test]
+    fn shutdown_from_the_pass_callback_ends_an_unbounded_loop() {
+        for shards in [1, 2] {
+            let mut source = FixedSource::new(&mixed_trace(50, 16));
+            let shutdown = AtomicBool::new(false);
+            let summary = serve_loop(shards, None)
+                .run(&mut source, &LiveStatus::new(), &shutdown, |pass| {
+                    if pass.pass == 1 {
+                        shutdown.store(true, Ordering::Relaxed);
+                    }
+                })
+                .unwrap();
+            assert_eq!(summary.passes, 2, "flag honored between passes");
+        }
+    }
+
+    #[test]
+    fn dry_source_ends_the_loop() {
+        struct TwoPasses(DenseTrace);
+        impl TraceSource for TwoPasses {
+            fn next_pass(&mut self, pass: u64) -> Option<&DenseTrace> {
+                (pass < 2).then_some(&self.0)
+            }
+        }
+        for shards in [1, 2] {
+            let mut source = TwoPasses(DenseTrace::build(&mixed_trace(30, 16)));
+            let summary = serve_loop(shards, None)
+                .run(
+                    &mut source,
+                    &LiveStatus::new(),
+                    &AtomicBool::new(false),
+                    |_| {},
+                )
+                .unwrap();
+            assert_eq!(summary.passes, 2);
+            assert_eq!(summary.requests, 60);
+        }
     }
 }

@@ -50,8 +50,7 @@ pub struct FlightObserver {
 
 impl FlightObserver {
     /// An observer recording plain events (no reason channels — every
-    /// record carries the none-kind reason). This is what concurrent
-    /// per-shard replay uses, where caches are not sink-instrumented.
+    /// record carries the none-kind reason).
     pub fn new(recorder: SharedRecorder) -> FlightObserver {
         FlightObserver {
             recorder,

@@ -70,9 +70,7 @@ pub use flight::FlightObserver;
 pub use hierarchy::{simulate_hierarchy, HierarchyConfig, HierarchyReport};
 pub use latency::{LatencyEstimate, LatencyModel, LinkModel};
 pub use latency_obs::LatencyObserver;
-pub use live::{
-    FixedSource, LiveState, LiveStatus, LiveSummary, PassSummary, ReplayLoop, TraceSource,
-};
+pub use live::{FixedSource, LiveState, LiveStatus, LiveSummary, TraceSource};
 pub use logobs::LogObserver;
 pub use metrics::HitStats;
 pub use observe::{AccessEvent, AccessKind, NoopObserver, Observer, RunMeta};

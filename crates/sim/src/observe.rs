@@ -193,6 +193,54 @@ impl<O: Observer + ?Sized> Observer for &mut O {
     }
 }
 
+/// An optional observer: `Some` forwards every event, `None` ignores
+/// them. Lets one observer type switch a part of its chain off at
+/// construction, e.g. the single-stream observers of a multi-shard
+/// replay.
+impl<O: Observer> Observer for Option<O> {
+    #[inline(always)]
+    fn on_run_start(&mut self, meta: RunMeta) {
+        if let Some(o) = self {
+            o.on_run_start(meta);
+        }
+    }
+
+    #[inline(always)]
+    fn on_access(&mut self, event: AccessEvent, kind: AccessKind) {
+        if let Some(o) = self {
+            o.on_access(event, kind);
+        }
+    }
+
+    #[inline(always)]
+    fn on_insert(&mut self, event: AccessEvent) {
+        if let Some(o) = self {
+            o.on_insert(event);
+        }
+    }
+
+    #[inline(always)]
+    fn on_admission_reject(&mut self, event: AccessEvent) {
+        if let Some(o) = self {
+            o.on_admission_reject(event);
+        }
+    }
+
+    #[inline(always)]
+    fn on_evict(&mut self, at: AccessEvent, evicted: Eviction) {
+        if let Some(o) = self {
+            o.on_evict(at, evicted);
+        }
+    }
+
+    #[inline(always)]
+    fn on_run_end(&mut self) {
+        if let Some(o) = self {
+            o.on_run_end();
+        }
+    }
+}
+
 /// Pair composition: both observers receive every event, `A` first. Lets
 /// callers stack independent observers (e.g. profiling + anomaly +
 /// logging as `(profile, (anomaly, log))`) without a trait object.

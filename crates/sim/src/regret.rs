@@ -264,8 +264,8 @@ mod tests {
     use webcache_core::{CostModel, PolicyKind};
     use webcache_trace::{DocId, Request, Timestamp, Trace};
 
-    use crate::live::{FixedSource, LiveStatus, ReplayLoop};
-    use crate::{SimulationConfig, Simulator};
+    use crate::live::{FixedSource, LiveStatus};
+    use crate::{ShardedReplayLoop, SimulationConfig, Simulator};
 
     fn req(i: u64, doc: u64, size: u64) -> Request {
         Request::new(
@@ -488,13 +488,13 @@ mod tests {
             gap_window: 256,
             gap_every: 256,
         };
-        let mut paired = Paired {
+        let mut observers = [Paired {
             tracker: RegretTracker::new(config),
             reference: HashMapReference::new(config.window),
             per_pass: Vec::new(),
             max_state: 0,
-        };
-        let replay = ReplayLoop {
+        }];
+        let replay = ShardedReplayLoop {
             config: SimulationConfig::builder()
                 .capacity(ByteSize::new(20_000))
                 .warmup_fraction(0.0)
@@ -502,14 +502,21 @@ mod tests {
             spec: PolicyKind::Lru.into(),
             rate: None,
             max_passes: Some(3),
+            shards: 1,
+            clients: 1,
+            lock_probes: None,
+            reasons: None,
         };
-        let summary = replay.run(
-            &mut FixedSource::new(&trace),
-            &mut paired,
-            &LiveStatus::new(),
-            &AtomicBool::new(false),
-            |_| {},
-        );
+        let summary = replay
+            .run_observed(
+                &mut FixedSource::new(&trace),
+                &LiveStatus::new(),
+                &AtomicBool::new(false),
+                &mut observers,
+                |_| {},
+            )
+            .unwrap();
+        let [paired] = observers;
         assert_eq!(summary.passes, 3);
         assert_eq!(paired.per_pass.len(), 3);
         for (pass, (tracker, reference)) in paired.per_pass.iter().enumerate() {

@@ -12,9 +12,11 @@
 
 use proptest::prelude::*;
 
-use webcache_core::{AdmissionSpec, PolicyKind, PolicySpec};
+use webcache_core::{AdmissionSpec, PolicyKind, PolicySpec, ShardReasons};
+use webcache_obs::{FlightSink, SharedRecorder};
 use webcache_sim::{
-    ConcurrentSimulator, ShardedTrace, SimulationConfig, Simulator, WindowSpec, WindowedMetrics,
+    ConcurrentSimulator, FlightObserver, ShardedTrace, SimulationConfig, Simulator, WindowSpec,
+    WindowedMetrics,
 };
 use webcache_trace::{ByteSize, DenseTrace, DocId, DocumentType, Request, Timestamp, Trace};
 
@@ -132,12 +134,12 @@ fn single_shard_windowed_series_matches_serial() {
     .run_dense_observed(&dense, &mut serial_obs);
 
     let sharded = ShardedTrace::build(&dense, 1).unwrap();
-    let (report, observers) =
+    let mut observers = [WindowedMetrics::new(spec)];
+    let report =
         ConcurrentSimulator::new(PolicyKind::GdStar(webcache_core::CostModel::Packet), config)
-            .run_sharded_observed(&dense, &sharded, 1, |_| WindowedMetrics::new(spec));
+            .run_sharded_observed(&dense, &sharded, 1, &mut observers, None, None);
 
     assert_eq!(report.by_type(), serial.by_type());
-    assert_eq!(observers.len(), 1);
     let serial_windows = serial_obs.windows();
     let sharded_windows = observers[0].windows();
     assert_eq!(serial_windows.len(), sharded_windows.len());
@@ -146,5 +148,66 @@ fn single_shard_windowed_series_matches_serial() {
         assert_eq!(a.end_index, b.end_index);
         assert_eq!(a.by_type, b.by_type);
         assert_eq!(a.churn, b.churn);
+    }
+}
+
+/// The `N = 1` reason-instrumented engine records the same flight trail,
+/// reasons included, as the instrumented serial simulator: one shard is
+/// the serial replay `webcache serve` runs.
+#[test]
+fn single_shard_flight_trail_matches_instrumented_serial() {
+    let trace: Trace = (0..2_000u64)
+        .map(|i| {
+            Request::new(
+                Timestamp::from_millis(i),
+                DocId::new((i * 11 + 5) % 173),
+                DocumentType::ALL[(i % 5) as usize],
+                ByteSize::new(300 + (i % 61) * 17),
+            )
+        })
+        .collect();
+    let dense = DenseTrace::build(&trace);
+    let config = SimulationConfig::new(ByteSize::new(25_000)).with_warmup_fraction(0.1);
+    for name in ["gd*(p)", "2hit:64+lfu-da"] {
+        let spec: PolicySpec = name.parse().unwrap();
+
+        let serial_ring = SharedRecorder::new(3 * trace.len());
+        let reasons = ShardReasons::default();
+        let mut serial = Simulator::from_spec_instrumented(
+            spec,
+            config,
+            FlightSink::new(reasons.evictions.clone()),
+        );
+        serial.set_admit_reasons(reasons.admissions.clone());
+        serial.run_dense_observed(
+            &dense,
+            &mut FlightObserver::with_reasons(
+                serial_ring.clone(),
+                reasons.evictions,
+                reasons.admissions,
+            ),
+        );
+
+        let shard_ring = SharedRecorder::new(3 * trace.len());
+        let reasons = ShardReasons::default();
+        let mut observers = [FlightObserver::with_reasons(
+            shard_ring.clone(),
+            reasons.evictions.clone(),
+            reasons.admissions.clone(),
+        )];
+        ConcurrentSimulator::new(spec, config)
+            .with_reasons(vec![reasons])
+            .run_sharded_observed(
+                &dense,
+                &ShardedTrace::build(&dense, 1).unwrap(),
+                1,
+                &mut observers,
+                None,
+                None,
+            );
+
+        let serial_records = serial_ring.snapshot();
+        assert!(serial_records.iter().any(|r| r.reason.is_some()), "{name}");
+        assert_eq!(shard_ring.snapshot(), serial_records, "{name}");
     }
 }

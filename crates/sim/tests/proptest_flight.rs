@@ -5,16 +5,18 @@
 //! The ring laws pin the forensics pipeline's foundation: whatever the
 //! event volume, the recorder retains *exactly* the last `capacity`
 //! records in arrival order, and the JSONL dump parses back bit-equal.
-//! The concurrent law pins the per-shard recording path of `webcache
+//! The concurrent laws pin the per-shard recording path of `webcache
 //! serve --shards N`: records merged across shard rings must all be
 //! internally consistent with the replayed trace (no torn or invented
-//! records under client-thread parallelism).
+//! records under client-thread parallelism), and every shard pairs its
+//! policy's eviction reasons and its cache's admission verdicts with
+//! its own records.
 
 use proptest::prelude::*;
 
-use webcache_core::PolicyKind;
+use webcache_core::{PolicyKind, PolicySpec, ShardReasons};
 use webcache_obs::{
-    merge_sorted, DecisionRecord, EventKind, FlightRecorder, Reason, SharedRecorder,
+    merge_sorted, DecisionRecord, EventKind, FlightRecorder, Reason, ReasonKind, SharedRecorder,
 };
 use webcache_sim::{ConcurrentSimulator, FlightObserver, ShardedTrace, SimulationConfig};
 use webcache_trace::{ByteSize, DenseTrace, DocId, DocumentType, Request, Timestamp, Trace};
@@ -85,6 +87,58 @@ proptest! {
 mod concurrent_no_tearing {
     use super::*;
 
+    /// Replays `trace` through `shards` reason-instrumented shards, each
+    /// recording into its own generous ring (nothing wraps, so the
+    /// merged view is the complete event history); returns the merged
+    /// records and the replay's hit count.
+    fn record_sharded(
+        trace: &Trace,
+        spec: PolicySpec,
+        capacity: u64,
+        shards: usize,
+        clients: usize,
+    ) -> (DenseTrace, Vec<DecisionRecord>, u64) {
+        let dense = DenseTrace::build(trace);
+        let sharded = ShardedTrace::build(&dense, shards).unwrap();
+        let config = SimulationConfig::builder()
+            .capacity(ByteSize::new(capacity))
+            .warmup_fraction(0.0)
+            .build();
+        let recorders: Vec<SharedRecorder> = (0..shards)
+            .map(|_| SharedRecorder::new(trace.len() * 3 + 8))
+            .collect();
+        let reasons: Vec<ShardReasons> = (0..shards).map(|_| ShardReasons::default()).collect();
+        let mut observers: Vec<FlightObserver> = recorders
+            .iter()
+            .zip(&reasons)
+            .map(|(recorder, r)| {
+                FlightObserver::with_reasons(
+                    recorder.clone(),
+                    r.evictions.clone(),
+                    r.admissions.clone(),
+                )
+            })
+            .collect();
+        let report = ConcurrentSimulator::new(spec, config)
+            .with_reasons(reasons)
+            .run_sharded_observed(&dense, &sharded, clients, &mut observers, None, None);
+        (dense, merge_sorted(&recorders), report.overall().hits)
+    }
+
+    /// Whether every eviction of `kind` carries a reason: the heap
+    /// policies push one per victim.
+    fn heap_policy(kind: PolicyKind) -> bool {
+        matches!(
+            kind,
+            PolicyKind::Lfu
+                | PolicyKind::SizeBased
+                | PolicyKind::LfuDa
+                | PolicyKind::Gds(_)
+                | PolicyKind::Gdsf(_)
+                | PolicyKind::GdStar(_)
+        )
+    }
+
     fn arb_trace() -> impl Strategy<Value = Trace> {
         prop::collection::vec((0u64..48, 0u8..5, 1u64..50_000), 1..300).prop_map(|reqs| {
             reqs.into_iter()
@@ -117,22 +171,8 @@ mod concurrent_no_tearing {
             shards in prop::sample::select(vec![1usize, 2, 4, 8]),
             clients in 1usize..5,
         ) {
-            let dense = DenseTrace::build(&trace);
-            let sharded = ShardedTrace::build(&dense, shards).unwrap();
-            let config = SimulationConfig::builder()
-                .capacity(ByteSize::new(capacity))
-                .warmup_fraction(0.0)
-                .build();
-            // Generous rings: nothing wraps, so the merged view is the
-            // complete event history.
-            let recorders: Vec<SharedRecorder> = (0..shards)
-                .map(|_| SharedRecorder::new(trace.len() * 3 + 8))
-                .collect();
-            let (report, _) = ConcurrentSimulator::new(kind, config)
-                .run_sharded_observed(&dense, &sharded, clients, |shard| {
-                    FlightObserver::new(recorders[shard].clone())
-                });
-            let merged = merge_sorted(&recorders);
+            let (dense, merged, replay_hits) =
+                record_sharded(&trace, kind.into(), capacity, shards, clients);
 
             let mut accesses = 0u64;
             let mut hits = 0u64;
@@ -168,11 +208,42 @@ mod concurrent_no_tearing {
                             "victim slot out of range"
                         );
                         prop_assert!(r.size > 0, "victim with zero size");
+                        prop_assert!(
+                            !heap_policy(kind) || r.reason.is_some(),
+                            "{:?} eviction of doc {} without a reason", kind, r.doc
+                        );
                     }
                 }
             }
             prop_assert_eq!(accesses, trace.len() as u64, "access records lost");
-            prop_assert_eq!(hits, report.overall().hits, "hit accounting diverged");
+            prop_assert_eq!(hits, replay_hits, "hit accounting diverged");
+        }
+
+        /// Every admission verdict of a sharded second-hit cache carries
+        /// its second-hit reason, paired on the shard that made it.
+        #[test]
+        fn sharded_admission_verdicts_carry_reasons(
+            trace in arb_trace(),
+            window in 1usize..64,
+            capacity in 1_000u64..100_000,
+            shards in prop::sample::select(vec![1usize, 2, 4, 8]),
+            clients in 1usize..5,
+        ) {
+            let spec: PolicySpec = format!("2hit:{window}+lru").parse().unwrap();
+            let (_, merged, _) = record_sharded(&trace, spec, capacity, shards, clients);
+            let mut verdicts = 0u64;
+            for r in &merged {
+                if matches!(r.event, EventKind::Insert | EventKind::AdmissionReject) {
+                    verdicts += 1;
+                    prop_assert_eq!(
+                        r.reason.kind, ReasonKind::SecondHit,
+                        "verdict at index {} without its reason", r.index
+                    );
+                    // Only a remembered document is admitted.
+                    prop_assert_eq!(r.event == EventKind::Insert, r.reason.a == 1.0);
+                }
+            }
+            prop_assert!(verdicts > 0, "the trace must miss at least once");
         }
     }
 }
